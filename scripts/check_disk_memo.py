@@ -29,9 +29,7 @@ from repro.explore import SweepRunner, SweepSpace, level_series
 from repro.explore.runner import _PROCESS_CACHE
 from repro.arch.presets import functional_testbed
 from repro.models import get_model
-from repro.perf import set_fastpath
 
-set_fastpath(True)
 space = SweepSpace.grid(functional_testbed(), get_model("lenet"),
                         {"cores": ["24", "28", "32"]},
                         series=level_series(["CG", "MVM"]))

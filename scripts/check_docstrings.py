@@ -7,9 +7,8 @@ set of findings as ``ruff check --select D1`` with magic methods and
 ``__init__`` exempted (D105/D107), so the check runs identically in the
 offline container and in CI.
 
-Scope (the documented public surface): ``repro/__init__.py``,
-``repro/arch/presets.py``, ``repro/sim/power.py``, and every module of
-``repro.explore``, ``repro.serve``, ``repro.scale``, ``repro.perf``.
+Scope (the documented public surface): the files and packages listed
+in :data:`SCOPED`, mirrored by pyproject's ``[tool.ruff] include``.
 
 Run:  python scripts/check_docstrings.py [SRC_ROOT]
 """
@@ -24,6 +23,10 @@ SCOPED = [
     "repro/__init__.py",
     "repro/arch/presets.py",
     "repro/arch/link.py",
+    "repro/arch/noc.py",
+    "repro/sched/cg.py",
+    "repro/sched/placement.py",
+    "repro/sim/performance.py",
     "repro/sim/power.py",
     "repro/explore",
     "repro/serve",

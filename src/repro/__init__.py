@@ -74,7 +74,7 @@ from .sched import (
 )
 from .sim import MultiChipReport, PerformanceReport, PerformanceSimulator
 from .explore import SweepPoint, SweepResult, SweepRunner, SweepSpace
-from .perf import CompileCache, fastpath, fastpath_enabled
+from .perf import CompileCache
 from .scale import ShardPlan, shard
 from .faults import FaultModel, plan_degraded, spread_mask
 
@@ -108,8 +108,6 @@ __all__ = [
     "SweepSpace",
     "TensorSpec",
     "conv_relu_example",
-    "fastpath",
-    "fastpath_enabled",
     "functional_testbed",
     "isaac_baseline",
     "jain2021",

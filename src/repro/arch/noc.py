@@ -10,14 +10,13 @@ raw matrix can also be supplied for measured hardware.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ArchitectureError
-from ..perf import fastpath_enabled
 from ..perf.kernels import (
     htree_hop_array,
     mesh_hop_array,
@@ -32,7 +31,7 @@ TOPOLOGIES = ("mesh", "h-tree", "shared-bus", "ideal", "matrix")
 def _mesh_grid(n: int, grid: Optional[Tuple[int, int]]) -> Tuple[int, int]:
     """(rows, cols) of the mesh layout: given, or near-square for ``n``.
 
-    Shared by the reference :func:`mesh_hops` and the vectorized
+    Shared by the list-form :func:`mesh_hops` and the vectorized
     :meth:`NocSpec.cost_array`, so the two can never disagree on the
     geometry.
     """
@@ -148,39 +147,31 @@ class NocSpec:
     def average_cost(self, n: int) -> float:
         """Mean pairwise cost between distinct units (0 for n <= 1).
 
-        The fast path computes the identical value through the
-        vectorized hop kernels and memoizes it per ``(spec, n)`` — this
-        is the single hottest quantity of the whole compiler
-        (``CostModel._mov_cycles`` asks for it once per operator, and a
-        naive evaluation walks all ``n**2`` core pairs each time).
+        Computed through the vectorized hop kernels and memoized per
+        ``(spec, n)`` — this is the single hottest quantity of the whole
+        compiler (``CostModel._mov_cycles`` asks for it once per
+        operator, and a naive evaluation walks all ``n**2`` unit pairs
+        each time).
         """
         if n <= 1:
             return 0.0
-        if fastpath_enabled():
-            return _average_cost_fast(self, n)
-        matrix = self.hop_matrix(n)
-        total = sum(matrix[i][j] for i in range(n) for j in range(n) if i != j)
-        return total / (n * (n - 1))
+        return _average_cost(self, n)
 
     def max_cost(self, n: int) -> float:
         """Worst-case pairwise cost (network diameter in cycles)."""
-        if fastpath_enabled():
-            return _max_cost_fast(self, n)
-        matrix = self.hop_matrix(n)
-        return max((matrix[i][j] for i in range(n) for j in range(n)),
-                   default=0.0)
+        return _max_cost(self, n)
 
 
 @lru_cache(maxsize=None)
-def _average_cost_fast(spec: NocSpec, n: int) -> float:
+def _average_cost(spec: NocSpec, n: int) -> float:
     """Memoized vectorized :meth:`NocSpec.average_cost`.
 
-    Bit-identical to the reference loop: entries are the same per-pair
-    multiplies, the diagonal contributes exact zeros (the reference
-    skips it; adding ``0.0`` to a non-negative running sum is the same
-    float), and :func:`~repro.perf.kernels.seq_sum` applies the
-    reference's left-to-right addition order.  Keyed by the frozen spec
-    *value*, so every preset sharing a topology shares the entry.
+    Entries are the per-pair ``hop * cycles_per_hop`` multiplies, the
+    diagonal contributes exact zeros, and
+    :func:`~repro.perf.kernels.seq_sum` adds left to right, so the value
+    equals a Python double loop over the distinct pairs.  Keyed by the
+    frozen spec *value*, so every preset sharing a topology shares the
+    entry.
     """
     costs = spec.cost_array(n)
     np.fill_diagonal(costs, 0.0)
@@ -188,7 +179,7 @@ def _average_cost_fast(spec: NocSpec, n: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _max_cost_fast(spec: NocSpec, n: int) -> float:
+def _max_cost(spec: NocSpec, n: int) -> float:
     """Memoized vectorized :meth:`NocSpec.max_cost`."""
     if n <= 0:
         return 0.0
@@ -203,7 +194,7 @@ def hop_cost_array(spec: NocSpec, n: int) -> np.ndarray:
     segment; rebuilding it from Python lists dominated the placement
     wall-clock.  The array is marked read-only because it is shared
     across callers (consumers that need to mutate — like
-    :func:`_average_cost_fast`'s diagonal fill — must keep calling
+    :func:`_average_cost`'s diagonal fill — must keep calling
     :meth:`~NocSpec.cost_array` for a private copy).
     """
     costs = spec.cost_array(n)

@@ -6,8 +6,8 @@ Commands
               performance report (optionally per-level ablation).
 ``sweep``     Design-space sweep: vary preset parameters over a grid, run
               (optionally parallel + cached), print table/CSV/JSON.
-``bench``     Time the compile→simulate hot path with the fast path off
-              and on; verify identical results; report speedups.
+``bench``     Time the compile→simulate hot path against the scalar
+              reference oracle; verify identical results; report speedups.
 ``cache``     Inspect or clear the persistent cross-process compile memo
               (``REPRO_DISK_CACHE=1``; see docs/PERFORMANCE.md).
 ``shard``     Shard a model across a multi-chip system; print per-chip
@@ -1359,8 +1359,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run the performance benchmarks: each workload "
                     "(compile, duplication search, placement, performance "
                     "sim, the fig22 sensitivity sweep, a 2-tenant serve "
-                    "capacity sweep) is timed with the fast path disabled "
-                    "and enabled, the two result digests are verified "
+                    "capacity sweep, ...) is timed on the scalar reference "
+                    "oracle (repro.perf.reference) and on the production "
+                    "kernels, the two result digests are verified "
                     "identical, and the speedups are reported "
                     "({name, wall_s, points, speedup_vs_reference}).")
     p.add_argument("--quick", action="store_true",

@@ -25,10 +25,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
-from ..perf import CompileCache, default_compile_cache, fastpath_enabled, \
-    set_fastpath
+from ..perf import CompileCache, default_compile_cache
 from ..sched import CIMMLC, no_optimization
-from ..perf.incremental import IncrementalCompiler
 from ..sim.performance import PerformanceReport
 from .space import SweepPoint, SweepSpace
 
@@ -192,19 +190,12 @@ def _peak_cores(schedule) -> int:
 
 #: Per-process compile cache shared by every point this process
 #: evaluates (sweep workers and serial runs alike).  Content-addressed,
-#: so sharing across unrelated sweeps is safe; only consulted while the
-#: fast path is enabled.  With ``REPRO_DISK_CACHE=1`` it is disk-backed
+#: so sharing across unrelated sweeps is safe.  With
+#: ``REPRO_DISK_CACHE=1`` it is disk-backed
 #: (:class:`~repro.perf.DiskCompileCache`), so every process — sweep
 #: workers included, which inherit the environment — shares one
 #: persistent store.
-_PROCESS_CACHE = default_compile_cache()
-
-#: Per-process incremental recompiler riding the process cache: sweep
-#: series, autoscaler probes, and fault-degradation points mutate one
-#: architecture axis at a time against the same graphs, so unchanged
-#: segments splice instead of re-searching (bit-identical — see
-#: :mod:`repro.perf.incremental`).
-_PROCESS_INCREMENTAL = IncrementalCompiler(cache=_PROCESS_CACHE)
+_PROCESS_CACHE: Optional[CompileCache] = default_compile_cache()
 
 
 def evaluate_point(point: SweepPoint,
@@ -215,12 +206,11 @@ def evaluate_point(point: SweepPoint,
     :func:`repro.scale.shard` instead of a single-chip compilation.
     Module-level so :class:`ProcessPoolExecutor` can pickle it.
 
-    ``cache`` defaults to the process-wide :class:`CompileCache` while
-    the fast path is enabled, so per-op profiles and duplication
-    searches are shared across every point (and series) that agrees on
-    the quantities they depend on.
+    ``cache`` defaults to the process-wide :class:`CompileCache`, so
+    per-op profiles and duplication searches are shared across every
+    point (and series) that agrees on the quantities they depend on.
     """
-    if cache is None and fastpath_enabled():
+    if cache is None:
         cache = _PROCESS_CACHE
     if point.chips < 1:
         from ..errors import ArchitectureError
@@ -241,13 +231,6 @@ def evaluate_point(point: SweepPoint,
             cores_used=sum(_peak_cores(s) for s in plan.schedules))
     if point.options is None:
         result = no_optimization(point.graph, point.arch, cache=cache)
-    elif cache is _PROCESS_CACHE:
-        # Implicitly-cached single-chip compiles route through the
-        # process-wide incremental recompiler: points that mutate one
-        # axis against an already-seen (graph, options) pair delta-patch
-        # instead of recompiling (bit-identical by construction).
-        result = _PROCESS_INCREMENTAL.compile(point.graph, point.arch,
-                                              point.options)
     else:
         result = CIMMLC(point.arch, point.options,
                         cache=cache).compile(point.graph)
@@ -270,11 +253,8 @@ def evaluate_point(point: SweepPoint,
 _WORKER_GRAPHS: Dict[str, "Graph"] = {}  # noqa: F821 - forward name
 
 
-def _worker_init(graph_blob: bytes, fast: bool = True) -> None:
-    """Pool initializer: unpickle the sweep's graphs into this worker
-    and seed the parent's fast-path switch state (a spawned worker
-    would otherwise re-read only the environment)."""
-    set_fastpath(fast)
+def _worker_init(graph_blob: bytes) -> None:
+    """Pool initializer: unpickle the sweep's graphs into this worker."""
     _WORKER_GRAPHS.update(pickle.loads(graph_blob))
 
 
@@ -282,8 +262,8 @@ def _worker_init(graph_blob: bytes, fast: bool = True) -> None:
 class _PointTask:
     """A :class:`SweepPoint` minus its graph (referenced by signature).
 
-    What actually crosses the process boundary per point on the fast
-    path: the architecture and options pickle in microseconds, while
+    What actually crosses the process boundary per point: the
+    architecture and options pickle in microseconds, while
     the graph — the heavy part — is resolved from the worker-side
     registry populated by :func:`_worker_init`.
     """
@@ -453,9 +433,9 @@ class SweepRunner:
     cache_dir:
         Root of the disk cache.  ``None`` disables caching entirely.
 
-    On the fast path the runner additionally (a) *deduplicates*
-    identical points (same content fingerprint) before dispatch, (b)
-    keeps one :class:`ProcessPoolExecutor` alive across :meth:`run`
+    The runner additionally (a) *deduplicates* identical points (same
+    content fingerprint) before dispatch, (b) keeps one
+    :class:`ProcessPoolExecutor` alive across :meth:`run`
     calls — re-created only when a sweep introduces a graph the pool's
     workers have not seen — and (c) ships each distinct graph to the
     workers once, through the pool initializer, instead of re-pickling
@@ -495,18 +475,6 @@ class SweepRunner:
 
     def _pooled_summaries(self, todo: List[SweepPoint]) -> List[Dict]:
         """Fan ``todo`` out over the (persistent) worker pool."""
-        if not fastpath_enabled():
-            # Reference behaviour: fresh pool, full points per task.
-            # Close any persistent fast-path pool (don't leave its idle
-            # workers resident), and seed the fresh workers with the
-            # parent's switch state — on spawn/forkserver platforms a
-            # worker would otherwise re-read only the environment.
-            self.close()
-            with ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    initializer=set_fastpath,
-                    initargs=(False,)) as pool:
-                return list(pool.map(evaluate_point, todo))
         needed = {}
         for p in todo:
             needed.setdefault(p.graph.signature(), p.graph)
@@ -522,8 +490,7 @@ class SweepRunner:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_worker_init,
-                initargs=(pickle.dumps(self._pool_graphs),
-                          fastpath_enabled()))
+                initargs=(pickle.dumps(self._pool_graphs),))
         tasks = [_PointTask.from_point(p) for p in todo]
         return list(self._pool.map(_evaluate_task, tasks))
 
@@ -539,23 +506,19 @@ class SweepRunner:
         points = list(space)
         slots: List[Optional[PointResult]] = [None] * len(points)
         pending: List[int] = []
-        keys: List[Optional[str]] = [None] * len(points)
-        fast = fastpath_enabled()
+        keys: List[str] = [point.fingerprint() for point in points]
         first_of: Dict[str, int] = {}      # fingerprint -> pending index
         dup_of: Dict[int, int] = {}        # duplicate -> canonical index
         for i, point in enumerate(points):
-            if self.cache is not None or fast:
-                keys[i] = point.fingerprint()
             if self.cache is not None:
                 summary = self.cache.get(keys[i])
                 if summary is not None:
                     slots[i] = PointResult(point, summary, cached=True)
                     continue
-            if fast:
-                if keys[i] in first_of:
-                    dup_of[i] = first_of[keys[i]]
-                    continue
-                first_of[keys[i]] = i
+            if keys[i] in first_of:
+                dup_of[i] = first_of[keys[i]]
+                continue
+            first_of[keys[i]] = i
             pending.append(i)
 
         if pending:
@@ -566,7 +529,7 @@ class SweepRunner:
                 summaries = [evaluate_point(p) for p in todo]
             for i, summary in zip(pending, summaries):
                 slots[i] = PointResult(points[i], summary, cached=False)
-                if self.cache is not None and keys[i] is not None:
+                if self.cache is not None:
                     self.cache.put(keys[i], summary)
         for i, canonical in dup_of.items():
             # A fingerprint collision within the sweep: reuse the

@@ -85,11 +85,10 @@ def degradation_sweep(arch: CIMArchitecture, specs: Sequence[TenantSpec],
     shared trace is replayed.  Counts the masked chip cannot serve
     yield an infeasible point carrying the planner's capacity error.
 
-    Each dead-core count is a one-axis architecture mutation, so with
-    the fast path on the rebuilds route through the runner's shared
-    :class:`~repro.perf.IncrementalCompiler`: unchanged segments splice
-    their recorded duplication searches instead of re-optimizing (see
-    ``docs/PERFORMANCE.md``), bit-identically to a cold rebuild.
+    Each dead-core count is a one-axis architecture mutation, so the
+    rebuilds share the runner's process-wide compile cache: profiles
+    and duplication searches whose inputs the mutation left unchanged
+    are reused instead of recomputed (see ``docs/PERFORMANCE.md``).
     """
     runner = runner or SweepRunner()
     trace = make_trace(trace_kind, specs, rate, num_requests, seed=seed)

@@ -23,10 +23,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..arch import ChipLink, CIMArchitecture
 from ..errors import ScheduleError
-from ..perf import CompileCache, default_compile_cache, fastpath_enabled
+from ..perf import CompileCache, default_compile_cache
 from ..sched import CompilerOptions
 from ..serve import ServingPlan, TenantSpec, make_plan
-from ..perf.incremental import IncrementalCompiler
 
 #: Default payload sizes for the front-end↔replica hop: a request ships
 #: an input activation tensor (say a 32x32x3 image at 8 bits), a
@@ -133,19 +132,13 @@ def build_fleet(arch: CIMArchitecture, specs: Sequence[TenantSpec],
 
     All replica plans run through one shared
     :class:`~repro.perf.CompileCache` (supplied or created here): replica
-    0 pays the compiles, replicas 1..N-1 are pure cache hits.  With the
-    fast path on, one shared :class:`~repro.perf.IncrementalCompiler`
-    additionally delta-patches the spatial water-filling probes across
-    replicas (and, downstream, across autoscaler resizes).
+    0 pays the compiles, replicas 1..N-1 are pure cache hits.
     ``plan_kwargs`` reach :func:`~repro.serve.partition.make_plan`
     (e.g. ``power_budget=``, ``chips=`` for sharded mode).
     """
     if replicas < 1:
         raise ScheduleError(f"fleet size must be >= 1, got {replicas}")
     cache = cache or default_compile_cache()
-    if "incremental" not in plan_kwargs and fastpath_enabled():
-        plan_kwargs = dict(plan_kwargs,
-                           incremental=IncrementalCompiler(cache=cache))
     plans: List[ServingPlan] = [
         make_plan(mode, arch, specs, options, cache=cache, **plan_kwargs)
         for _ in range(replicas)

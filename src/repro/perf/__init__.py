@@ -1,11 +1,8 @@
-"""Performance layer: fast-path toggle, compile cache, numpy kernels.
+"""Performance layer: compile cache, numpy kernels, bench harness.
 
-The hot compile→simulate path is accelerated by three cooperating
-pieces, all bit-identical to the reference implementations they bypass
-(see ``docs/PERFORMANCE.md``):
+The hot compile→simulate path is accelerated by four pieces (see
+``docs/PERFORMANCE.md``):
 
-* :mod:`repro.perf.fastpath` — a global switch selecting the optimized
-  or the reference route (``repro bench`` times both);
 * :mod:`repro.perf.cache` — :class:`CompileCache`, the in-process
   content-addressed memo for per-op profiles, duplication searches, and
   graph segmentations, shared across sweep points / serve tenants /
@@ -15,11 +12,12 @@ pieces, all bit-identical to the reference implementations they bypass
 * :mod:`repro.perf.diskcache` — :class:`DiskCompileCache`, the
   versioned cross-process on-disk extension of the compile memo
   (opt-in via ``REPRO_DISK_CACHE=1``);
-* :mod:`repro.perf.incremental` — :class:`IncrementalCompiler`,
-  delta-patching recompilation across one-axis architecture mutations.
+* :mod:`repro.perf.incremental` — :class:`IncrementalCompiler`, one
+  compiler over a shared cache for one-axis architecture families.
 
-:mod:`repro.perf.bench` adds the ``repro bench`` harness that measures
-the speedup and pins reference/fast report equality.
+:mod:`repro.perf.bench` adds the ``repro bench`` harness, which times
+each workload against the scalar oracle in :mod:`repro.perf.reference`
+and refuses to report when the two disagree.
 """
 
 from .cache import CompileCache
@@ -30,7 +28,6 @@ from .diskcache import (
     default_disk_cache_dir,
     disk_cache_enabled,
 )
-from .fastpath import fastpath, fastpath_enabled, set_fastpath
 
 __all__ = [
     "CompileCache",
@@ -40,9 +37,6 @@ __all__ = [
     "default_compile_cache",
     "default_disk_cache_dir",
     "disk_cache_enabled",
-    "fastpath",
-    "fastpath_enabled",
-    "set_fastpath",
 ]
 
 

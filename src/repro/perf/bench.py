@@ -1,16 +1,16 @@
 """``repro bench``: time the hot path, reference vs. fast, prove equality.
 
-Each benchmark runs its workload twice — once with the fast path
-disabled (:func:`~repro.perf.fastpath` context, reference kernels, no
-implicit memoization) and once enabled from *cold* in-process caches —
-and then verifies that both runs produced identical result digests.  A
-digest mismatch raises, so a speedup can never be reported for a
-computation that changed its answer.
+Each benchmark runs its workload twice — once on the scalar oracle
+(:func:`repro.perf.reference.installed`: reference kernels, no implicit
+memoization) and once on the production kernels from *cold* in-process
+caches — and then verifies that both runs produced identical result
+digests.  A digest mismatch raises, so a speedup can never be reported
+for a computation that changed its answer.
 
 The emitted JSON is a list of ``{name, wall_s, points,
-speedup_vs_reference}`` objects (``wall_s`` is the fast-path wall
-clock); ``benchmarks/perf/check_regression.py`` compares a fresh run
-against the committed ``BENCH_PR4.json`` in CI.
+speedup_vs_reference}`` objects (``wall_s`` is the production wall
+clock); ``benchmarks/perf/check_regression.py`` compares a fresh
+``--quick`` run against ``benchmarks/perf/BASELINE_QUICK.json`` in CI.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .fastpath import fastpath
+from . import reference
 
 #: Benchmark registry: name -> factory(quick) -> (workload, points).
 #: Each workload() call performs one full measurement and returns a
@@ -45,7 +45,7 @@ class BenchResult:
     """One benchmark outcome (the committed-JSON schema plus context)."""
 
     name: str
-    wall_s: float                 # fast-path wall clock
+    wall_s: float                 # production wall clock
     points: int                   # workload size (compiles / cells / ops)
     speedup_vs_reference: float   # reference wall / fast wall
     ref_wall_s: float             # kept out of the JSON schema
@@ -61,26 +61,25 @@ class BenchResult:
 
 
 def clear_process_caches() -> None:
-    """Reset every implicit fast-path memo so a timed run starts cold.
+    """Reset every implicit process memo so a timed run starts cold.
 
-    Covers the process-wide explore compile cache and incremental
-    recompiler, the implicit duplication-search and placement memos, and
-    the memoized NoC cost matrices/aggregates; explicit caches owned by
-    callers are untouched.  Note a disk-backed process cache
-    (``REPRO_DISK_CACHE=1``) is cleared *including its on-disk store* —
-    benchmarking against a warm disk memo would be meaningless.
+    Covers the process-wide explore compile cache, the implicit
+    duplication-search and placement memos, and the memoized NoC cost
+    matrices/aggregates; explicit caches owned by callers are untouched.
+    Note a disk-backed process cache (``REPRO_DISK_CACHE=1``) is cleared
+    *including its on-disk store* — benchmarking against a warm disk
+    memo would be meaningless.
     """
-    from ..arch.noc import _average_cost_fast, _max_cost_fast, hop_cost_array
+    from ..arch.noc import _average_cost, _max_cost, hop_cost_array
     from ..explore import runner as runner_mod
     from ..sched import cg as cg_mod
     from ..sched import placement as placement_mod
 
     runner_mod._PROCESS_CACHE.clear()
-    runner_mod._PROCESS_INCREMENTAL.clear()
     cg_mod._IMPLICIT_SEARCH_CACHE.clear()
     placement_mod._GREEDY_MEMO.clear()
-    _average_cost_fast.cache_clear()
-    _max_cost_fast.cache_clear()
+    _average_cost.cache_clear()
+    _max_cost.cache_clear()
     hop_cost_array.cache_clear()
 
 
@@ -174,17 +173,15 @@ def _bench_incremental(quick: bool) -> Tuple[Callable, int]:
     axis moving, everything else fixed; a second copy of the same model
     replaying the family, as fleet replicas and serve tenants do)
     through one :class:`~repro.perf.IncrementalCompiler`.  On the
-    reference path the compiler defers to from-scratch
-    :class:`~repro.sched.CIMMLC` compiles, so the digest equality check
-    in :func:`run_bench` pins the delta-patched results bit-identical to
-    cold compiles.  The fast path additionally *asserts its own hit
-    counters*: exactly one full compile (the first point), and at least
-    one spliced segment (the second copy replays recorded searches) —
-    a silent fall-through to full recompiles fails the run rather than
-    reporting an honest-looking speedup.
+    reference leg the compiler bypasses its cache, so the digest
+    equality check in :func:`run_bench` pins the cached results
+    bit-identical to cold compiles.  The production leg additionally
+    *asserts cache reuse*: the replayed copy must hit the profile cache
+    on every point and the duplication-search cache — a silent
+    fall-through to full recompiles fails the run rather than reporting
+    an honest-looking speedup.
     """
     from .cache import CompileCache
-    from .fastpath import fastpath_enabled
     from .incremental import IncrementalCompiler
     from ..models import resnet18, vit_tiny
 
@@ -194,7 +191,8 @@ def _bench_incremental(quick: bool) -> Tuple[Callable, int]:
     graphs = (make_graph(), make_graph())
 
     def workload():
-        inc = IncrementalCompiler(cache=CompileCache())
+        cache = CompileCache()
+        inc = IncrementalCompiler(cache=cache)
         digest = []
         for graph in graphs:
             for cores in core_axis:
@@ -204,15 +202,13 @@ def _bench_incremental(quick: bool) -> Tuple[Callable, int]:
                     "total_cycles": result.report.total_cycles,
                     "op_latency": result.report.op_latency,
                     "peak_power": result.report.power.peak_power})
-        if fastpath_enabled():
-            if inc.full_compiles != 1:
-                raise RuntimeError(
-                    f"incremental bench: expected exactly 1 full "
-                    f"compile, measured {inc.full_compiles}")
-            if inc.spliced_segments == 0:
-                raise RuntimeError(
-                    "incremental bench: replayed family spliced no "
-                    "segments — the delta path is not engaging")
+        # The reference leg never touches the cache; the production leg
+        # must have served the replayed copy from it.
+        if cache.profile_misses and (cache.profile_hits < len(core_axis)
+                                     or cache.dup_hits == 0):
+            raise RuntimeError(
+                f"incremental bench: the replayed family missed the "
+                f"shared cache ({cache.stats()})")
         return digest
 
     return workload, len(core_axis) * len(graphs)
@@ -318,7 +314,7 @@ def _bench_fleet(quick: bool) -> Tuple[Callable, int]:
     """A replicated fleet under a diurnal+bursty trace with autoscaling.
 
     The digest is the full :class:`~repro.fleet.FleetReport` dict, so
-    any reference/fastpath divergence in trace generation, routing,
+    any reference/fast divergence in trace generation, routing,
     admission, or scaling fails the equality gate in
     :func:`run_bench`.
     """
@@ -357,7 +353,7 @@ def _bench_trace(quick: bool) -> Tuple[Callable, int]:
     path, and re-prices a link-bandwidth grid through
     :func:`repro.trace.replay` instead of re-simulating.  The digest is
     the recording's SHA-256 plus every replayed metric set, so a
-    reference/fastpath divergence anywhere in capture or replay fails
+    reference/fast divergence anywhere in capture or replay fails
     the equality gate; the workload additionally refuses to report if
     identity replay is not bit-identical to the recording.
     """
@@ -395,7 +391,7 @@ def _bench_faults(quick: bool) -> Tuple[Callable, int]:
     fleet with drift rewrites and a mid-trace chip death.  The digest
     covers the degraded serve report, the fault-injected fleet report
     (availability ledger included), and a zero-fault fleet report that
-    must equal the fault-free run — so a reference/fastpath divergence
+    must equal the fault-free run — so a reference/fast divergence
     in masking, re-routing, or the bit-identity gate itself fails the
     equality check in :func:`run_bench`.
     """
@@ -441,7 +437,8 @@ def _bench_faults(quick: bool) -> Tuple[Callable, int]:
 
 def run_bench(names: Optional[Sequence[str]] = None,
               quick: bool = False) -> List[BenchResult]:
-    """Run the selected benchmarks; raise if any fast digest deviates.
+    """Run the selected benchmarks; raise if any fast digest deviates
+    from the reference oracle's.
 
     Both timings start from cold in-process caches
     (:func:`clear_process_caches`), so the reported speedup reflects the
@@ -457,15 +454,14 @@ def run_bench(names: Optional[Sequence[str]] = None,
     for name in chosen:
         workload, points = _BENCHES[name](quick)
         clear_process_caches()
-        with fastpath(False):
+        with reference.installed():
             t0 = time.perf_counter()
             ref_digest = workload()
             ref_wall = time.perf_counter() - t0
         clear_process_caches()
-        with fastpath(True):
-            t0 = time.perf_counter()
-            fast_digest = workload()
-            fast_wall = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        fast_digest = workload()
+        fast_wall = time.perf_counter() - t0
         if ref_digest != fast_digest:
             raise RuntimeError(
                 f"benchmark {name!r}: fast path diverged from the "

@@ -1,199 +1,71 @@
-"""Incremental recompilation: delta-patch schedules across one-axis
-architecture mutations.
+"""Recompilation across one-axis architecture mutations.
 
 Sweeps, the serve water-filling partitioner, the fleet autoscaler, and
 fault-degradation studies all recompile the *same graph* against a
 family of closely related architectures — one axis (core count,
 crossbar geometry, link bandwidth, power budget) moves while everything
-else stays fixed.  A from-scratch compile re-runs profile costing,
-segmentation, and every duplication search even though most operator
-profiles did not change.
+else stays fixed.  The compile pipeline is pure: per-op profiles,
+segmentations, and duplication searches are functions of
+content-addressed keys (frozen profile dataclasses + budgets), so a
+shared :class:`~repro.perf.cache.CompileCache` already reuses every
+intermediate the mutation left unchanged.
 
-:class:`IncrementalCompiler` exploits the compile pipeline's purity:
-
-* per-op profiles, segmentation, and duplication searches are pure
-  functions of content-addressed keys (frozen profile dataclasses +
-  budgets), memoized in the attached
-  :class:`~repro.perf.cache.CompileCache`;
-* on top of that, a per-``(graph, options)`` *base* records each
-  segment's pre-balance duplication search result keyed by
-  ``(objective, budget, profile tuple)``.  When a mutated architecture
-  leaves a segment's profiles and budget unchanged, the stored
-  duplication vector is spliced in and only the changed segments are
-  re-searched — the delta-patch: every :class:`~repro.sched.schedule.
-  OpDecision` of an unchanged segment is rebuilt from recorded data,
-  never re-optimized;
-* a repeated request for the *same* graph object, architecture value,
-  and options returns the previously built
-  :class:`~repro.sched.compiler.CompilationResult` outright (the
-  exact-hit store is additionally keyed by object identity so two
-  tenants holding equal-signature graph copies never share — and never
-  cross-annotate — one schedule).
-
-Because the spliced duplication vectors are exactly what the search
-would recompute (equal keys ⇒ equal values for pure functions), and the
-CG schedule handed to the MVM/VVM passes and the simulator is exactly
-what :func:`~repro.sched.cg.schedule_cg` would build, the result is
-bit-identical to a from-scratch compile — the regression suite pins
-this on every mutation axis.
-
-With the fast path disabled the class defers to a plain
-:class:`~repro.sched.compiler.CIMMLC` compile (reference semantics, no
-caching), so ``repro bench`` can time both routes through one callable.
+:class:`IncrementalCompiler` is therefore
+:class:`~repro.sched.compiler.CIMMLC` over one shared cache, behind a
+``compile(graph, arch, options)`` call shape for callers that hold one
+compiler across many architectures.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..arch import CIMArchitecture
 from ..graph import Graph
-from ..sched.cg import (
-    balance_for_bandwidth,
-    duplicate_min_bottleneck,
-    duplicate_min_total,
-    segment_graph,
-)
 from ..sched.compiler import CIMMLC, CompilationResult, CompilerOptions
-from ..sched.costs import CostModel
-from ..sched.mvm import schedule_mvm
-from ..sched.schedule import OpDecision, Schedule
-from ..sched.vvm import schedule_vvm
-from ..sim import PerformanceSimulator
 from .cache import CompileCache
-from .fastpath import fastpath_enabled
 
 
 class IncrementalCompiler:
-    """Compile graphs against mutating architectures by delta-patching.
+    """Compile graphs against mutating architectures over one cache.
 
-    Drop-in accelerator for ``CIMMLC(arch, options).compile(graph)``
-    call sites that see many related architectures: attach one instance
-    (optionally sharing a :class:`~repro.perf.cache.CompileCache`) and
-    route compiles through :meth:`compile`.  Gated on
-    :func:`~repro.perf.fastpath_enabled`; when the fast path is off it
-    runs the plain reference compile.
+    ``compile(graph, arch, options)`` is
+    ``CIMMLC(arch, options, cache=self.cache).compile(graph)``; every
+    reuse across the family shows in the cache's hit counters.
+
+    :meth:`stats` keys:
+
+    * ``full_compiles`` — :meth:`compile` calls (each runs the full
+      pipeline over the shared cache);
+    * ``exact_hits`` — results returned without compiling; always 0,
+      since no result store is kept;
+    * ``delta_compiles`` — compiles patched from a previous result;
+      always 0, since reuse happens inside the cache;
+    * ``spliced_segments`` — segments copied from a previous compile;
+      always 0, for the same reason;
+    * ``cache_<counter>`` — the attached cache's
+      :meth:`~repro.perf.cache.CompileCache.stats`.
     """
 
     def __init__(self, cache: Optional[CompileCache] = None) -> None:
         self.cache = cache if cache is not None else CompileCache()
-        #: (id(graph), signature, arch, options) -> CompilationResult.
-        self._results: Dict[Tuple, CompilationResult] = {}
-        #: (signature, options) -> {(objective, budget, profile tuple):
-        #: pre-balance duplication vector} — the splice store.
-        self._bases: Dict[Tuple, Dict[Tuple, Dict[str, int]]] = {}
-        self.exact_hits = 0
         self.full_compiles = 0
-        self.delta_compiles = 0
-        self.spliced_segments = 0
-        self.searched_segments = 0
-
-    # -- public API --------------------------------------------------
 
     def compile(self, graph: Graph, arch: CIMArchitecture,
                 options: Optional[CompilerOptions] = None
                 ) -> CompilationResult:
-        """Compile ``graph`` for ``arch``, splicing everything the
-        mutation did not touch (see the module docstring)."""
-        opts = options or CompilerOptions()
-        if not fastpath_enabled():
-            return CIMMLC(arch, opts).compile(graph)
-        sig = graph.signature()
-        rkey = (id(graph), sig, arch, opts)
-        hit = self._results.get(rkey)
-        if hit is not None:
-            self.exact_hits += 1
-            return hit
-        bkey = (sig, opts)
-        base = self._bases.get(bkey)
-        if base is None:
-            base = self._bases[bkey] = {}
-            self.full_compiles += 1
-        else:
-            self.delta_compiles += 1
-        schedule = self._schedule_cg(graph, arch, opts, base)
-        levels = CIMMLC(arch, opts).levels()
-        if "MVM" in levels:
-            schedule = schedule_mvm(schedule, stagger=opts.mvm_stagger,
-                                    refine=opts.mvm_refine)
-        if "VVM" in levels:
-            schedule = schedule_vvm(schedule)
-        report = PerformanceSimulator(arch).run(schedule)
-        result = CompilationResult(schedule=schedule, report=report)
-        self._results[rkey] = result
-        return result
+        """Compile ``graph`` for ``arch`` through the shared cache."""
+        self.full_compiles += 1
+        return CIMMLC(arch, options, cache=self.cache).compile(graph)
 
     def stats(self) -> Dict[str, int]:
-        """Hit/compile counters plus the attached cache's statistics."""
+        """Compile counters plus the attached cache's statistics."""
         stats = {
-            "exact_hits": self.exact_hits,
+            "exact_hits": 0,
             "full_compiles": self.full_compiles,
-            "delta_compiles": self.delta_compiles,
-            "spliced_segments": self.spliced_segments,
-            "searched_segments": self.searched_segments,
+            "delta_compiles": 0,
+            "spliced_segments": 0,
         }
         for key, value in self.cache.stats().items():
             stats[f"cache_{key}"] = value
         return stats
-
-    def clear(self) -> None:
-        """Drop results, splice bases, and counters (the attached
-        cache is left to its owner)."""
-        self._results.clear()
-        self._bases.clear()
-        self.exact_hits = 0
-        self.full_compiles = 0
-        self.delta_compiles = 0
-        self.spliced_segments = 0
-        self.searched_segments = 0
-
-    # -- internals ---------------------------------------------------
-
-    def _schedule_cg(self, graph: Graph, arch: CIMArchitecture,
-                     opts: CompilerOptions,
-                     base: Dict[Tuple, Dict[str, int]]) -> Schedule:
-        """:func:`~repro.sched.cg.schedule_cg` with segment splicing.
-
-        Mirrors the reference step for step; the only difference is
-        where a segment's pre-balance duplication vector comes from —
-        the base store when its content key matches, the (cached)
-        search otherwise.
-        """
-        cm = CostModel(arch, cache=self.cache)
-        profiles = cm.profiles(graph)
-        segments = segment_graph(graph, profiles, arch, opts.pipeline,
-                                 opts.duplicate, self.cache)
-        budget = arch.chip.core_number
-        objective = "min_bottleneck" if opts.pipeline else "min_total"
-        search = duplicate_min_bottleneck if opts.pipeline \
-            else duplicate_min_total
-        decisions: Dict[str, OpDecision] = {}
-        for seg_idx, seg in enumerate(segments):
-            seg_profiles = [profiles[n] for n in seg]
-            if opts.duplicate:
-                skey = (objective, budget, tuple(seg_profiles))
-                stored = base.get(skey)
-                if stored is not None:
-                    # The base compile memoized the search on this very
-                    # content key, so this lookup is an O(1) warm hit —
-                    # routing it through the cache keeps the shared
-                    # hit/miss counters truthful for observers.
-                    dups = search(seg_profiles, budget, self.cache)
-                    self.spliced_segments += 1
-                else:
-                    dups = search(seg_profiles, budget, self.cache)
-                    base[skey] = dict(dups)
-                    self.searched_segments += 1
-                dups = balance_for_bandwidth(graph, profiles, dups, arch)
-            else:
-                dups = {n: 1 for n in seg}
-            for name in seg:
-                decisions[name] = OpDecision(
-                    profiles[name], segment=seg_idx, dup_cg=dups[name])
-                node = graph.node(name)
-                node.annotations["duplication"] = dups[name]
-                node.annotations["segment"] = seg_idx
-        schedule = Schedule(graph, arch, decisions, segments,
-                            pipelined=opts.pipeline, levels=("CG",))
-        schedule.validate_resources()
-        return schedule

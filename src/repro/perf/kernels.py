@@ -15,8 +15,9 @@ the cached-vs-live sweeps stay value-exact:
   (``np.argmax`` returns the first maximal index, exactly like
   ``list.index(max(...))``).
 
-``tests/test_perf_cache.py`` pins the equivalence on every model/preset
-pair and on randomized profiles.
+The scalar loops these kernels replaced are kept as the oracle in
+:mod:`repro.perf.reference`; ``tests/test_perf_cache.py`` pins the
+equivalence on every model/preset pair and on perturbed inputs.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def segment_cycles(decisions: Sequence,
                    pipelined: bool) -> Tuple[np.ndarray, int, float]:
     """(latencies, bottleneck index, segment cycles) in one pass.
 
-    The single fast-path body shared by
+    The single body shared by
     :func:`repro.sched.cg.pipelined_latency` /
     :func:`~repro.sched.cg.sequential_latency` and
     :meth:`repro.sim.performance.PerformanceSimulator.run`, so the
@@ -313,7 +314,7 @@ def level_latency_table(table: DupLatencyColumns,
 class RefineExchange:
     """Whole-frontier evaluation of the pairwise-exchange refinement.
 
-    The reference loop (``repro.sched.cg._refine_exchange``) scans, per
+    The reference loop (``repro.perf.reference.refine_exchange``) scans, per
     iteration, every operator ``p`` for its next useful duplication
     level and every donor ``q`` for the *largest* down-level that frees
     enough cores, then applies the best strictly-improving move from a

@@ -69,17 +69,13 @@ def isolated_disk_cache():
         yield
         return
     from ..perf.diskcache import default_compile_cache
-    from ..perf.incremental import IncrementalCompiler
     from ..explore import runner as runner_mod
 
     saved_env = os.environ.get(ENV_DIR)
     saved_cache = runner_mod._PROCESS_CACHE
-    saved_incremental = runner_mod._PROCESS_INCREMENTAL
     with tempfile.TemporaryDirectory(prefix="repro-reproduce-memo-") as tmp:
         os.environ[ENV_DIR] = tmp
         runner_mod._PROCESS_CACHE = default_compile_cache()
-        runner_mod._PROCESS_INCREMENTAL = IncrementalCompiler(
-            cache=runner_mod._PROCESS_CACHE)
         try:
             yield
         finally:
@@ -88,7 +84,6 @@ def isolated_disk_cache():
             else:
                 os.environ[ENV_DIR] = saved_env
             runner_mod._PROCESS_CACHE = saved_cache
-            runner_mod._PROCESS_INCREMENTAL = saved_incremental
 
 
 def _section_map(markdown: str) -> Dict[str, str]:

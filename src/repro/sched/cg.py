@@ -28,9 +28,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..arch import CIMArchitecture
-from ..errors import CapacityError, ScheduleError
+from ..errors import CapacityError
 from ..graph import Graph
-from ..perf import CompileCache, fastpath_enabled
+from ..perf import CompileCache
 from ..perf.kernels import (
     BottleneckSearch,
     DupLatencyColumns,
@@ -49,22 +49,19 @@ from .schedule import OpDecision, Schedule
 
 
 #: Process-wide memo backing the duplication searches when the caller
-#: supplies no explicit cache while the fast path is on.  The searches
-#: are pure functions of ``(profile tuple, budget)`` (frozen dataclasses
-#: carrying every quantity they read), so content-addressed sharing
-#: across otherwise-uncached compilations is value-exact.  ``repro
-#: bench`` clears it between runs; an explicit ``cache=`` argument
-#: always wins.
-_IMPLICIT_SEARCH_CACHE = CompileCache()
+#: supplies no explicit cache.  The searches are pure functions of
+#: ``(profile tuple, budget)`` (frozen dataclasses carrying every
+#: quantity they read), so content-addressed sharing across otherwise
+#: uncached compilations is value-exact.  ``repro bench`` clears it
+#: between runs; an explicit ``cache=`` argument always wins.
+_IMPLICIT_SEARCH_CACHE: Optional[CompileCache] = CompileCache()
 
 
 def _search_cache(cache: Optional["CompileCache"]
                   ) -> Optional["CompileCache"]:
     """The cache a duplication search should use: the caller's, else
-    the process-wide implicit memo on the fast path, else none."""
-    if cache is not None:
-        return cache
-    return _IMPLICIT_SEARCH_CACHE if fastpath_enabled() else None
+    the process-wide implicit memo."""
+    return _IMPLICIT_SEARCH_CACHE if cache is None else cache
 
 
 #: Budgets up to this size use the exact dynamic program (the paper's
@@ -78,10 +75,10 @@ def _useful_dups(p: OpProfile, budget: int,
     """Duplication values where the latency actually changes.
 
     ``ceil(num_mvms / d)`` takes O(sqrt(num_mvms)) distinct values; only the
-    smallest ``d`` achieving each value matters.  The fast path computes
-    the same set with one vectorized scan (the reference walks every
-    window count in Python) and memoizes the curve per
-    ``(num_mvms, cap)`` — the only two quantities it depends on.
+    smallest ``d`` achieving each value matters.  Large window counts are
+    scanned with one vectorized pass, small ones in Python (both give the
+    identical set), and the curve is memoized per ``(num_mvms, cap)`` —
+    the only two quantities it depends on.
     """
     cap = min(p.max_useful_dup, budget // p.cores_per_replica)
     key = ("useful", p.num_mvms, cap)
@@ -89,7 +86,7 @@ def _useful_dups(p: OpProfile, budget: int,
         hit = cache.get_useful_dups(key)
         if hit is not None:
             return hit
-    if fastpath_enabled() and p.num_mvms >= _VECTORIZE_MIN_MVMS:
+    if p.num_mvms >= _VECTORIZE_MIN_MVMS:
         result = useful_dup_options(p.num_mvms, cap).tolist()
     else:
         result = _useful_dups_scan(p.num_mvms, cap)
@@ -105,7 +102,7 @@ _VECTORIZE_MIN_MVMS = 512
 
 
 def _useful_dups_scan(num_mvms: int, cap: int) -> List[int]:
-    """Reference scan over window counts (see :func:`_useful_dups`)."""
+    """Python scan over window counts (see :func:`_useful_dups`)."""
     options = {1}
     windows = num_mvms
     k = math.ceil(windows / 1)
@@ -156,8 +153,8 @@ def duplicate_min_total(profiles: Sequence[OpProfile], budget: int,
     memoized on ``(profile tuple, budget)`` — profiles are frozen
     dataclasses carrying every quantity the search reads, so equal keys
     guarantee equal answers across segments, series, and sweep points.
-    Without an explicit cache the fast path falls back to the
-    process-wide implicit search memo.
+    Without an explicit cache the search falls back to the process-wide
+    implicit search memo.
     """
     cache = _search_cache(cache)
     key = None
@@ -192,44 +189,37 @@ def _duplicate_min_total(profiles: Sequence[OpProfile], budget: int,
     remaining = budget - need
     by_name = {p.name: p for p in cim}
 
-    if fastpath_enabled():
-        # Precompute the four constants OpProfile.latency reads at
-        # default arguments; the inlined formula applies the same IEEE
-        # operations (ceil of the same float division, integer-valued
-        # products exact in float64, max/add), so every latency the
-        # greedy compares is bit-identical to the method call.
-        consts = {p.name: (p.num_mvms, p.max_useful_dup,
-                           p.mvm_cycles(1) * p.seq_passes,
-                           p.seq_passes * p.reload_cycles,
-                           p.mov_cycles, p.alu_cycles)
-                  for p in cim}
+    # Precompute the four constants OpProfile.latency reads at default
+    # arguments; the inlined formula applies the same IEEE operations
+    # (ceil of the same float division, integer-valued products exact in
+    # float64, max/add), so every latency the greedy compares is
+    # bit-identical to the method call.
+    consts = {p.name: (p.num_mvms, p.max_useful_dup,
+                       p.mvm_cycles(1) * p.seq_passes,
+                       p.seq_passes * p.reload_cycles,
+                       p.mov_cycles, p.alu_cycles)
+              for p in cim}
 
-        def _lat(p: OpProfile, d: int) -> float:
-            num, max_dup, per_window, base, mov, alu = consts[p.name]
-            eff = d if d < max_dup else max_dup
-            compute = math.ceil(num / eff) * per_window + base
-            return (compute if compute > mov else mov) + alu
+    def _lat(p: OpProfile, d: int) -> float:
+        num, max_dup, per_window, base, mov, alu = consts[p.name]
+        eff = d if d < max_dup else max_dup
+        compute = math.ceil(num / eff) * per_window + base
+        return (compute if compute > mov else mov) + alu
 
-        # next_jump from a useful level always lands on the *next* useful
-        # level (the smallest duplication shrinking the window count by
-        # one, clamped to max_useful_dup), so the whole jump chain and
-        # its latencies can be tabulated vectorized up front — capped at
-        # max_useful_dup, not the budget, exactly like next_jump.  Only
-        # partial jumps leave the chain and fall back to the formula.
-        chain_lists = [_useful_dups(p, p.max_useful_dup
-                                    * p.cores_per_replica, cache)
-                       for p in cim]
-        _, chain_lat = level_latency_table(DupLatencyColumns(cim),
-                                           chain_lists)
-        chain_info = {
-            p.name: (chain, chain_lat[i, :len(chain)].tolist(),
-                     {d: j for j, d in enumerate(chain)})
-            for i, (p, chain) in enumerate(zip(cim, chain_lists))}
-    else:
-        def _lat(p: OpProfile, d: int) -> float:
-            return p.latency(d)
-
-        chain_info = {}
+    # next_jump from a useful level always lands on the *next* useful
+    # level (the smallest duplication shrinking the window count by one,
+    # clamped to max_useful_dup), so the whole jump chain and its
+    # latencies can be tabulated vectorized up front — capped at
+    # max_useful_dup, not the budget, exactly like next_jump.  Only
+    # partial jumps leave the chain and fall back to the formula.
+    chain_lists = [_useful_dups(p, p.max_useful_dup * p.cores_per_replica,
+                                cache)
+                   for p in cim]
+    _, chain_lat = level_latency_table(DupLatencyColumns(cim), chain_lists)
+    chain_info = {
+        p.name: (chain, chain_lat[i, :len(chain)].tolist(),
+                 {d: j for j, d in enumerate(chain)})
+        for i, (p, chain) in enumerate(zip(cim, chain_lists))}
 
     def next_jump(p: OpProfile, d: int) -> Optional[int]:
         """Smallest d' > d with strictly lower latency, or None."""
@@ -248,24 +238,22 @@ def _duplicate_min_total(profiles: Sequence[OpProfile], budget: int,
 
     def push(p: OpProfile) -> None:
         d = dups[p.name]
-        info = chain_info.get(p.name)
-        if info is not None:
-            chain, lats, index = info
-            j = index.get(d)
-            if j is not None:
-                # On-chain state: the tabulated next level / latencies
-                # are the exact floats next_jump would compute (the
-                # window<=1 and max-dup terminations both surface as a
-                # non-improving tabulated latency).
-                if j + 1 >= len(chain):
-                    return
-                d2, lat_d, lat_d2 = chain[j + 1], lats[j], lats[j + 1]
-                if lat_d2 >= lat_d - 1e-12:
-                    return
-                cost = (d2 - d) * p.cores_per_replica
-                heapq.heappush(
-                    heap, (-((lat_d - lat_d2) / cost), p.name, d, d2, cost))
+        chain, lats, index = chain_info[p.name]
+        j = index.get(d)
+        if j is not None:
+            # On-chain state: the tabulated next level / latencies are
+            # the exact floats next_jump would compute (the window<=1
+            # and max-dup terminations both surface as a non-improving
+            # tabulated latency).
+            if j + 1 >= len(chain):
                 return
+            d2, lat_d, lat_d2 = chain[j + 1], lats[j], lats[j + 1]
+            if lat_d2 >= lat_d - 1e-12:
+                return
+            cost = (d2 - d) * p.cores_per_replica
+            heapq.heappush(
+                heap, (-((lat_d - lat_d2) / cost), p.name, d, d2, cost))
+            return
         d2 = next_jump(p, d)
         if d2 is None:
             return
@@ -310,73 +298,19 @@ def _refine_exchange(cim: List[OpProfile], budget: int,
     plus (when needed) lowering a single donor operator, accepting the
     best strictly-improving move until none remains.
 
-    On the fast path each iteration evaluates the whole candidate
-    frontier as array expressions
-    (:class:`~repro.perf.kernels.RefineExchange`), reproducing the
-    reference's move sequence — including first-wins tie-breaking on the
-    sort tuples — exactly.
+    Each iteration evaluates the whole candidate frontier as array
+    expressions (:class:`~repro.perf.kernels.RefineExchange`), with
+    first-wins tie-breaking on the ``(-net, up, d_up, donor, d_down)``
+    sort tuples.
     """
-    levels = {p.name: _useful_dups(p, budget, cache) for p in cim}
-    if cim and fastpath_enabled():
-        return _refine_exchange_fast(cim, budget, dups, levels)
-    free = budget - sum(p.cores_per_replica * dups[p.name] for p in cim)
-    # Each accepted move strictly lowers total latency; the cap only
-    # guards against float-epsilon cycling.
-    for _ in range(8 * max(1, sum(len(v) for v in levels.values()))):
-        best: Optional[Tuple[float, str, int, Optional[str], Optional[int]]] = None
-        for p in cim:
-            ups = [lv for lv in levels[p.name] if lv > dups[p.name]]
-            if not ups:
-                continue
-            d_up = min(ups)
-            need = (d_up - dups[p.name]) * p.cores_per_replica
-            gain = p.latency(dups[p.name]) - p.latency(d_up)
-            if gain <= 1e-12:
-                continue
-            if need <= free:
-                cand = (-gain, p.name, d_up, None, None)
-                best = cand if best is None or cand < best else best
-                continue
-            for q in cim:
-                if q.name == p.name:
-                    continue
-                downs = [lv for lv in levels[q.name] if lv < dups[q.name]]
-                # Walk down one useful level at a time: losses grow
-                # monotonically, so the first level that frees enough
-                # cores is the cheapest sufficient donation.
-                for d_down in sorted(downs, reverse=True):
-                    if free + (dups[q.name] - d_down) * q.cores_per_replica \
-                            < need:
-                        continue
-                    loss = q.latency(d_down) - q.latency(dups[q.name])
-                    if gain - loss > 1e-9:
-                        cand = (-(gain - loss), p.name, d_up, q.name, d_down)
-                        best = cand if best is None or cand < best else best
-                    break
-        if best is None:
-            return dups
-        _, up_name, d_up, down_name, d_down = best
-        up = next(p for p in cim if p.name == up_name)
-        free -= (d_up - dups[up_name]) * up.cores_per_replica
-        dups[up_name] = d_up
-        if down_name is not None:
-            down = next(p for p in cim if p.name == down_name)
-            free += (dups[down_name] - d_down) * down.cores_per_replica
-            dups[down_name] = d_down
-    return dups
-
-
-def _refine_exchange_fast(cim: List[OpProfile], budget: int,
-                          dups: Dict[str, int],
-                          levels: Dict[str, List[int]]) -> Dict[str, int]:
-    """Vectorized body of :func:`_refine_exchange` (same moves, same
-    iteration cap, same accounting — see
-    :class:`~repro.perf.kernels.RefineExchange`)."""
-    rex = RefineExchange(cim, [levels[p.name] for p in cim])
+    levels = [_useful_dups(p, budget, cache) for p in cim]
+    rex = RefineExchange(cim, levels)
     cores = rex.table.cores
     dvec = np.asarray([dups[p.name] for p in cim], dtype=np.int64)
     free = budget - int(np.add.reduce(cores * dvec))
-    for _ in range(8 * max(1, sum(len(v) for v in levels.values()))):
+    # Each accepted move strictly lowers total latency; the cap only
+    # guards against float-epsilon cycling.
+    for _ in range(8 * max(1, sum(len(v) for v in levels))):
         move = rex.best_move(dvec, free)
         if move is None:
             break
@@ -399,12 +333,12 @@ def duplicate_min_bottleneck(profiles: Sequence[OpProfile],
 
     Binary search over the target bottleneck ``T``: the cheapest feasible
     duplication for a target is ``d_i = ceil(compute_i / T)``, so feasibility
-    is monotone in ``T``.  On the fast path the ~60 bisection steps
-    evaluate the per-operator feasibility test as array expressions
-    (:class:`~repro.perf.kernels.BottleneckSearch`) instead of a Python
-    loop, and the whole result is memoized on ``(profile tuple, budget)``
-    when a :class:`~repro.perf.CompileCache` is attached (the implicit
-    process-wide memo when the caller passes none).
+    is monotone in ``T``.  The ~60 bisection steps evaluate the
+    per-operator feasibility test as array expressions
+    (:class:`~repro.perf.kernels.BottleneckSearch`), and the whole result
+    is memoized on ``(profile tuple, budget)`` in the attached
+    :class:`~repro.perf.CompileCache` (the implicit process-wide memo
+    when the caller passes none).
     """
     cache = _search_cache(cache)
     key = None
@@ -432,79 +366,39 @@ def _duplicate_min_bottleneck(profiles: Sequence[OpProfile],
             f"operators need {base_cores} cores, chip has {budget}"
         )
 
-    def dup_for_target(p: OpProfile, target: float) -> int:
-        # Smallest d with latency(d) <= target.  Movement and digital
-        # post-processing set a duplication-independent floor.
-        mvm = p.mvm_cycles_base
-        floor = max(p.mov_cycles, mvm) + p.alu_cycles
-        if target < floor:  # unreachable even at maximum duplication
-            return p.max_useful_dup + budget + 1  # infeasible marker
-        compute_budget = target - p.alu_cycles
-        windows_per_replica = int(compute_budget // mvm)
-        return min(p.max_useful_dup,
-                   math.ceil(p.num_mvms / max(1, windows_per_replica)))
-
-    if fastpath_enabled():
-        search = BottleneckSearch(cim, budget)
-        cost = search.cost
-    else:
-        def cost(target: float) -> int:
-            return sum(p.cores_per_replica * dup_for_target(p, target)
-                       for p in cim)
-
+    search = BottleneckSearch(cim, budget)
     lo = max(p.mvm_cycles_base for p in cim)              # best possible
     hi = max(p.latency(1) for p in cim)                   # no duplication
-    if cost(hi) > budget:
+    if search.cost(hi) > budget:
         raise CapacityError("even duplication 1 exceeds the core budget")
     # Binary search on achievable bottleneck (continuous, then round).
     for _ in range(60):
         mid = (lo + hi) / 2
-        if cost(mid) <= budget:
+        if search.cost(mid) <= budget:
             hi = mid
         else:
             lo = mid
-    if fastpath_enabled():
-        # Same rounding as dup_for_target (pinned by the kernel-equality
-        # suite), evaluated for all operators at once.
-        final = search.dup_for_target(hi)
-        for i, p in enumerate(cim):
-            dups[p.name] = max(1, int(final[i]))
-    else:
-        for p in cim:
-            dups[p.name] = max(1, dup_for_target(p, hi))
-    # Spend leftover cores on the current bottleneck greedily.
-    used = sum(p.cores_per_replica * dups[p.name] for p in cim)
-    remaining = budget - used
-    if fastpath_enabled():
-        # Array form of the loop below: latencies are maintained
-        # incrementally with the same scalar formula, and np.argmax
-        # keeps max()'s first-wins bottleneck tie-breaking.
-        table = DupLatencyColumns(cim)
-        dvec = np.asarray([dups[p.name] for p in cim], dtype=np.int64)
-        lats = table.latency(dvec)
-        while remaining > 0:
-            b = int(lats.argmax())
-            p = cim[b]
-            if (int(dvec[b]) >= p.max_useful_dup
-                    or p.cores_per_replica > remaining
-                    or table.latency_at(b, int(dvec[b]) + 1)
-                    >= float(lats[b])):
-                break
-            dvec[b] += 1
-            lats[b] = table.latency_at(b, int(dvec[b]))
-            remaining -= p.cores_per_replica
-        for i, p in enumerate(cim):
-            dups[p.name] = int(dvec[i])
-        return dups
+    dvec = np.asarray([max(1, int(d)) for d in search.dup_for_target(hi)],
+                      dtype=np.int64)
+    # Spend leftover cores on the current bottleneck greedily: latencies
+    # are maintained incrementally with the scalar formula, and np.argmax
+    # keeps first-wins bottleneck tie-breaking.
+    remaining = budget - sum(p.cores_per_replica * int(d)
+                             for p, d in zip(cim, dvec))
+    table = DupLatencyColumns(cim)
+    lats = table.latency(dvec)
     while remaining > 0:
-        bottleneck = max(cim, key=lambda p: p.latency(dups[p.name]))
-        if (dups[bottleneck.name] >= bottleneck.max_useful_dup
-                or bottleneck.cores_per_replica > remaining
-                or bottleneck.latency(dups[bottleneck.name] + 1)
-                >= bottleneck.latency(dups[bottleneck.name])):
+        b = int(lats.argmax())
+        p = cim[b]
+        if (int(dvec[b]) >= p.max_useful_dup
+                or p.cores_per_replica > remaining
+                or table.latency_at(b, int(dvec[b]) + 1) >= float(lats[b])):
             break
-        dups[bottleneck.name] += 1
-        remaining -= bottleneck.cores_per_replica
+        dvec[b] += 1
+        lats[b] = table.latency_at(b, int(dvec[b]))
+        remaining -= p.cores_per_replica
+    for i, p in enumerate(cim):
+        dups[p.name] = int(dvec[i])
     return dups
 
 
@@ -566,27 +460,20 @@ def balance_for_bandwidth(graph: Graph, profiles: Dict[str, OpProfile],
 def pipelined_latency(decisions: Sequence[OpDecision]) -> float:
     """Latency of one pipelined segment: bottleneck plus fills.
 
-    The fast path evaluates every decision's latency/fill in one
-    vectorized pass; ``np.argmax`` keeps the reference's first-wins
-    bottleneck tie-breaking and :func:`~repro.perf.kernels.seq_sum` its
-    left-to-right fill summation, so the value is bit-identical.
+    Every decision's latency/fill is evaluated in one vectorized pass;
+    ``np.argmax`` keeps first-wins bottleneck tie-breaking and
+    :func:`~repro.perf.kernels.seq_sum` left-to-right fill summation.
     """
     if not decisions:
         return 0.0
-    if fastpath_enabled():
-        return segment_cycles(decisions, pipelined=True)[2]
-    lats = [d.latency() for d in decisions]
-    bottleneck = max(lats)
-    fills = sum(d.fill() for d in decisions) - \
-        decisions[lats.index(bottleneck)].fill()
-    return bottleneck + max(0.0, fills)
+    return segment_cycles(decisions, pipelined=True)[2]
 
 
 def sequential_latency(decisions: Sequence[OpDecision]) -> float:
     """Latency of one segment without the inter-operator pipeline."""
-    if fastpath_enabled() and decisions:
-        return segment_cycles(decisions, pipelined=False)[2]
-    return sum(d.latency() for d in decisions)
+    if not decisions:
+        return 0.0
+    return segment_cycles(decisions, pipelined=False)[2]
 
 
 def segment_graph(graph: Graph, profiles: Dict[str, OpProfile],

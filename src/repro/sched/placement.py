@@ -22,16 +22,12 @@ placement can do, and exposes the result on the schedule annotations.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..arch import CIMArchitecture
 from ..arch.noc import hop_cost_array
 from ..errors import CapacityError, ScheduleError
-from ..graph import Graph
-from ..perf import fastpath_enabled
 from .schedule import Schedule
 
 #: core assignment: node name -> list of physical core ids (all replicas).
@@ -40,7 +36,7 @@ Placement = Dict[str, List[int]]
 #: Process-wide content-addressed memo of greedy placements, keyed on
 #: every input the algorithm reads (graph signature, architecture value,
 #: the segment's per-op core counts, region, die geometry, I/O anchor).
-#: Fast-path only; ``repro bench`` clears it between runs.
+#: ``repro bench`` clears it between runs.
 _GREEDY_MEMO: Dict[Tuple, Placement] = {}
 
 
@@ -245,66 +241,29 @@ def place_greedy(schedule: Schedule, segment: int = 0,
     operators whose tensors cross the graph boundary are additionally
     attracted to it, weighted by their boundary traffic.
 
-    The fast path fetches the hop geometry from the process-wide
-    :func:`~repro.arch.noc.hop_cost_array` memo, scores candidates as
-    array expressions, and memoizes whole placements content-addressed
-    (:data:`_GREEDY_MEMO`) — all bit-identical to the scalar walk below.
+    The hop geometry comes from the process-wide
+    :func:`~repro.arch.noc.hop_cost_array` memo, candidates are scored as
+    array expressions, and whole placements are memoized
+    content-addressed (:data:`_GREEDY_MEMO`).
     """
     cores = _resolve_region(schedule, region)
-    if fastpath_enabled():
-        key = _greedy_memo_key(schedule, segment, region, die_cores,
-                               io_anchor)
-        hit = _GREEDY_MEMO.get(key)
-        if hit is None:
-            hit = _place_greedy_fast(schedule, segment, cores, die_cores,
-                                     io_anchor)
-            _GREEDY_MEMO[key] = hit
-        return {name: list(chosen) for name, chosen in hit.items()}
-    hop = _hop_matrix(schedule, cores if io_anchor is None
-                      else [*cores, io_anchor], die_cores)
-    free = set(cores)
-    placement: Placement = {}
-    inbound: Dict[str, List[Tuple[str, int]]] = {}
-    for producer, consumer, bits in _edges(schedule, segment):
-        inbound.setdefault(consumer, []).append((producer, bits))
-
-    for name in _segment_cim_nodes(schedule, segment):
-        need = _cores_needed(schedule, name)
-        if need > len(free):
-            raise ScheduleError(
-                f"segment {segment}: not enough free cores for {name!r}"
-            )
-        anchors: List[Tuple[int, int]] = []   # (core, weight)
-        for producer, bits in inbound.get(name, []):
-            for core in placement.get(producer, []):
-                anchors.append((core, bits))
-        if io_anchor is not None:
-            io_bits = _io_traffic_bits(schedule, name)
-            if io_bits > 0:
-                anchors.append((io_anchor, io_bits))
-        if anchors:
-            def attraction(core: int) -> Tuple[float, int]:
-                return (sum(w * hop[a][core] for a, w in anchors), core)
-
-            chosen = sorted(free, key=attraction)[:need]
-        else:
-            chosen = sorted(free)[:need]
-        placement[name] = sorted(chosen)
-        free.difference_update(chosen)
-    return placement
+    key = _greedy_memo_key(schedule, segment, region, die_cores, io_anchor)
+    hit = _GREEDY_MEMO.get(key)
+    if hit is None:
+        hit = _place_greedy(schedule, segment, cores, die_cores, io_anchor)
+        _GREEDY_MEMO[key] = hit
+    return {name: list(chosen) for name, chosen in hit.items()}
 
 
-def _place_greedy_fast(schedule: Schedule, segment: int,
-                       cores: Sequence[int],
-                       die_cores: Optional[int],
-                       io_anchor: Optional[int]) -> Placement:
-    """Vectorized body of :func:`place_greedy`.
+def _place_greedy(schedule: Schedule, segment: int, cores: Sequence[int],
+                  die_cores: Optional[int],
+                  io_anchor: Optional[int]) -> Placement:
+    """Uncached body of :func:`place_greedy`.
 
-    Bit-identical to the scalar walk: the hop geometry is sized by the
-    same rule (so mesh grids never change shape), candidate scoring
-    applies the same anchor-order additions via ``np.add.accumulate``,
-    and ``np.lexsort`` reproduces the scalar ``(cost, core)`` tuple
-    sort's tie-breaking.
+    The hop geometry is sized like :func:`_hop_matrix` (so mesh grids
+    never change shape), candidate scoring applies the anchor-order
+    additions via ``np.add.accumulate``, and ``np.lexsort`` breaks ties
+    like a ``(cost, core)`` tuple sort.
     """
     n = max(schedule.arch.chip.core_number, max(cores, default=0) + 1,
             die_cores or 0)

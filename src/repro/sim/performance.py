@@ -9,14 +9,12 @@ crossbars, which is expensive on ReRAM/FLASH — Section 2.1).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from ..arch import CIMArchitecture
-from ..perf import fastpath_enabled
 from ..perf.kernels import segment_cycles
-from ..sched.cg import pipelined_latency, sequential_latency
+from ..sched.cg import pipelined_latency
 from ..sched.costs import reconfiguration_cycles
 from ..sched.schedule import OpDecision, Schedule
 from .power import PowerModel, PowerReport
@@ -122,6 +120,19 @@ class PerformanceReport:
         return "\n".join(lines)
 
 
+def _segment_latencies(decisions: Sequence[OpDecision], pipelined: bool
+                       ) -> Tuple[List[float], int, float]:
+    """(per-operator latencies, bottleneck index, segment cycles).
+
+    :func:`~repro.perf.kernels.segment_cycles` evaluates the segment in
+    one vectorized pass — the same kernel behind
+    :func:`~repro.sched.cg.pipelined_latency` — keeping first-wins
+    bottleneck tie-breaking and left-to-right summation.
+    """
+    lats, b_idx, cycles = segment_cycles(decisions, pipelined)
+    return lats.tolist(), b_idx, cycles
+
+
 class PerformanceSimulator:
     """Evaluates a :class:`Schedule` into a :class:`PerformanceReport`."""
 
@@ -133,13 +144,9 @@ class PerformanceSimulator:
             recorder=None) -> PerformanceReport:
         """Simulate one inference under ``schedule``.
 
-        On the fast path every operator's latency and fill are evaluated
-        in one vectorized pass per segment
-        (:func:`~repro.perf.kernels.segment_cycles`, the same kernel
-        behind :func:`~repro.sched.cg.pipelined_latency`); the reference
-        path evaluates them per-decision.  Both produce bit-identical
-        reports — the kernel preserves the reference's first-wins
-        bottleneck tie-breaking and left-to-right summation order.
+        Each segment's operator latencies, bottleneck, and cycles come
+        from :func:`_segment_latencies` (one vectorized pass per
+        segment).
 
         ``recorder`` (a :class:`repro.trace.TraceRecorder`) optionally
         captures the run as a span timeline — per-segment
@@ -153,21 +160,12 @@ class PerformanceSimulator:
         reconf_total = 0.0
         multi_segment = len(schedule.segments) > 1
         weight_load = 0.0
-        fast = fastpath_enabled()
         for seg_idx in range(len(schedule.segments)):
             decisions = schedule.segment_decisions(seg_idx)
-            if fast and decisions:
-                lats, b_idx, cycles = segment_cycles(
-                    decisions, schedule.pipelined)
-                for d, lat in zip(decisions, lats):
-                    op_latency[d.profile.name] = float(lat)
-            else:
-                for d in decisions:
-                    op_latency[d.profile.name] = d.latency()
-                cycles = (pipelined_latency(decisions) if schedule.pipelined
-                          else sequential_latency(decisions))
-                b_idx = max(range(len(decisions)),
-                            key=lambda i: decisions[i].latency())
+            lats, b_idx, cycles = _segment_latencies(decisions,
+                                                     schedule.pipelined)
+            for d, lat in zip(decisions, lats):
+                op_latency[d.profile.name] = lat
             seg_profiles = {d.profile.name: d.profile for d in decisions}
             weight_load += reconfiguration_cycles(seg_profiles, self.arch)
             reconf = 0.0

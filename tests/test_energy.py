@@ -2,7 +2,8 @@
 
 Pins the PR's acceptance criteria: energy metrics in every layer's
 report, latency×energy Pareto frontiers bit-identical between serial
-and parallel runs and between fastpath on/off, link-transfer energy in
+and parallel runs and between production and the scalar oracle
+(:func:`repro.perf.reference.installed`), link-transfer energy in
 sharded plans, and the ``repro power`` / ``--power-budget`` /
 ``--objectives`` CLI surface.  (Power-capped *serving* is pinned next
 to the other serving tests, in ``tests/test_serve.py``.)
@@ -34,7 +35,7 @@ from repro.explore import (
     to_json,
 )
 from repro.models import lenet, mlp, resnet18
-from repro.perf import fastpath
+from repro.perf import reference
 from repro.sched import CIMMLC, CompilerOptions, no_optimization
 from repro.scale import shard
 from repro.sim.power import E_WRITE_PER_BIT, PowerModel
@@ -91,10 +92,9 @@ class TestWeightWriteEnergy:
     def test_fastpath_power_reports_bit_identical(self, graph_fn):
         graph = graph_fn()
         arch = isaac_baseline()
-        with fastpath(False):
+        with reference.installed():
             ref = CIMMLC(arch).compile(graph).report
-        with fastpath(True):
-            fast = CIMMLC(arch).compile(graph).report
+        fast = CIMMLC(arch).compile(graph).report
         assert ref.power == fast.power
         assert ref.weight_write_energy == fast.weight_write_energy
 
@@ -149,16 +149,16 @@ class TestExploreEnergyMetrics:
     def test_energy_frontier_serial_parallel_fastpath_bit_identical(self):
         space = _space((4, 8, 16), lenet)
 
-        def run(workers, fast):
-            with fastpath(fast):
-                with SweepRunner(workers=workers) as runner:
-                    sweep = runner.run(_space((4, 8, 16), lenet))
-                return ([r.summary for r in sweep],
-                        frontier_labels(sweep, ENERGY_OBJECTIVES))
+        def run(workers):
+            with SweepRunner(workers=workers) as runner:
+                sweep = runner.run(_space((4, 8, 16), lenet))
+            return ([r.summary for r in sweep],
+                    frontier_labels(sweep, ENERGY_OBJECTIVES))
 
-        serial_fast = run(1, True)
-        parallel_fast = run(2, True)
-        serial_ref = run(1, False)
+        serial_fast = run(1)
+        parallel_fast = run(2)
+        with reference.installed():              # the oracle is serial
+            serial_ref = run(1)
         assert serial_fast == parallel_fast      # bit-identical summaries
         assert serial_fast == serial_ref
         assert len(space) == len(serial_fast[0])

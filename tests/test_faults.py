@@ -29,7 +29,7 @@ from repro.faults import (
 )
 from repro.fleet import Autoscaler, build_fleet, simulate_fleet
 from repro.models import lenet
-from repro.perf import fastpath
+from repro.perf import reference
 from repro.scale import shard
 from repro.serve import TenantSpec, make_plan, make_trace, simulate
 from repro.trace import (
@@ -229,16 +229,16 @@ class TestFuzzedMasks:
     @given(fault=mask_strategy)
     def test_fastpath_digest_equality_under_mask(self, fault):
         trace = _trace(n=80)
-        digests = []
-        for enabled in (False, True):
-            with fastpath(enabled):
-                try:
-                    plan = plan_degraded(ARCH, SPECS, fault)
-                except CapacityError:
-                    digests.append("infeasible")
-                    continue
-                digests.append(simulate(plan, trace).digest())
-        assert digests[0] == digests[1]
+        def digest():
+            try:
+                plan = plan_degraded(ARCH, SPECS, fault)
+            except CapacityError:
+                return "infeasible"
+            return simulate(plan, trace).digest()
+
+        with reference.installed():
+            ref = digest()
+        assert ref == digest()
 
 
 # ---------------------------------------------------------------------------

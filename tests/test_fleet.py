@@ -21,7 +21,7 @@ from repro.fleet import (
     parse_router,
     simulate_fleet,
 )
-from repro.perf import CompileCache, fastpath
+from repro.perf import CompileCache, reference
 from repro.serve import (
     FixedBatch,
     ServiceProfile,
@@ -430,17 +430,17 @@ class TestFleetPipeline:
         arch = functional_testbed()
         trace = make_trace("diurnal-bursty", SMALL_TENANTS, rate=1e-4,
                            num_requests=300, seed=1)
-        digests = []
-        for fast in (False, True):
-            with fastpath(fast):
-                plan = build_fleet(arch, SMALL_TENANTS, replicas=3)
-                report = simulate_fleet(
-                    plan, trace,
-                    admission=AdmissionControl(max_outstanding=32),
-                    autoscaler=Autoscaler(tick_cycles=500_000.0,
-                                          min_replicas=1))
-            digests.append(report.digest())
-        assert digests[0] == digests[1]
+        def digest():
+            plan = build_fleet(arch, SMALL_TENANTS, replicas=3)
+            return simulate_fleet(
+                plan, trace,
+                admission=AdmissionControl(max_outstanding=32),
+                autoscaler=Autoscaler(tick_cycles=500_000.0,
+                                      min_replicas=1)).digest()
+
+        with reference.installed():
+            ref = digest()
+        assert ref == digest()
 
     def test_least_loaded_beats_round_robin_p99_under_bursty_load(self):
         # The EXPERIMENTS.md fleet headline's shape claim.  Round-robin

@@ -1,14 +1,19 @@
-"""Fast path vs. reference: bit-identical results, observable reuse.
+"""Production vs. the scalar oracle: bit-identical results, observable
+reuse.
 
-Three layers of pinning:
+Layers of pinning:
 
-* **kernel equality** — every vectorized kernel (NoC costs, latency/
+* **the seam** — :func:`repro.perf.reference.installed` swaps exactly
+  its listed attributes, keeps the process memos idle, and restores
+  every original on exit; only the oracle and the bench harness import
+  :mod:`repro.perf.reference`;
+* **kernel equality** — every production kernel (NoC costs, latency/
   fill evaluation, duplication searches, placement scoring) produces
-  values ``==`` to the scalar reference across models, presets, and
-  topologies;
+  values ``==`` to its oracle form on the same inputs, across models,
+  presets, and topologies;
 * **report equality** — whole ``PerformanceReport`` /
-  ``MultiChipReport`` objects match field-for-field between the two
-  paths;
+  ``MultiChipReport`` objects match field-for-field between the oracle
+  and production;
 * **cache behaviour** — :class:`repro.perf.CompileCache` hit counters
   prove profiles/duplication searches are shared, the sweep runner
   deduplicates identical points, and its worker pool persists across
@@ -18,12 +23,15 @@ Three layers of pinning:
   entries on a schema bump, and keeps two concurrent processes
   bit-identical;
 * **incremental recompilation** — :class:`repro.perf.
-  IncrementalCompiler` delta-patches a one-axis architecture family
-  with exactly one full compile, bit-identical to from-scratch.
+  IncrementalCompiler` compiles a one-axis architecture family over
+  one shared cache, bit-identical to from-scratch.
 """
 
+import ast
+import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -46,17 +54,21 @@ from repro.perf import (
     IncrementalCompiler,
     default_compile_cache,
     disk_cache_enabled,
-    fastpath,
-    fastpath_enabled,
-    set_fastpath,
+    reference,
 )
 from repro.perf import diskcache as diskcache_mod
 from repro.sched import CIMMLC, CompilerOptions, no_optimization
+from repro.sched import cg, placement
 from repro.sched.cg import duplicate_min_bottleneck, duplicate_min_total
 from repro.sched.costs import CostModel
-from repro.sched.placement import place_greedy
+from repro.sched.placement import annotate_placement, place_greedy
+from repro.sched.schedule import OpDecision
 from repro.scale import shard
+from repro.serve import TenantSpec, plan_spatial
+from repro.sim import performance
 from repro.sim.performance import PerformanceSimulator
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 def _report_fields(report):
@@ -73,17 +85,89 @@ def _report_fields(report):
     }
 
 
-class TestFastpathSwitch:
-    def test_toggle_and_context(self):
-        before = fastpath_enabled()
-        try:
-            assert set_fastpath(False) == before
-            assert not fastpath_enabled()
-            with fastpath(True):
-                assert fastpath_enabled()
-            assert not fastpath_enabled()
-        finally:
-            set_fastpath(before)
+def _memo_state():
+    """Entry and hit counts of every implicit process memo."""
+    caches = (cg._IMPLICIT_SEARCH_CACHE, runner_mod._PROCESS_CACHE)
+    lrus = (noc._average_cost, noc._max_cost, noc.hop_cost_array)
+    return ([c.stats() for c in caches],
+            [(f.cache_info().hits, f.cache_info().currsize) for f in lrus],
+            len(placement._GREEDY_MEMO))
+
+
+class TestReferenceSeam:
+    def test_installed_swaps_oracle_and_restores(self):
+        originals = [vars(owner)[attr]
+                     for owner, attr, _ in reference.SWAPS]
+        with reference.installed():
+            for owner, attr, oracle in reference.SWAPS:
+                assert vars(owner)[attr] is oracle, attr
+        for (owner, attr, _), original in zip(reference.SWAPS, originals):
+            assert vars(owner)[attr] is original, attr
+
+    def test_process_memos_stay_idle_inside_the_seam(self):
+        # Fresh spec/architecture values so no lru entry pre-exists.
+        arch = isaac_baseline().with_cores(96).with_xb_size((96, 96))
+        cache = CompileCache()
+        before = _memo_state()
+        with reference.installed():
+            schedule = CIMMLC(arch).schedule(lenet())
+            annotate_placement(schedule)
+            PerformanceSimulator(arch).run(schedule)
+            SweepRunner().run(SweepSpace.from_arch_points(
+                [("c32", functional_testbed().with_cores(32))], mlp(),
+                series=level_series(["CG"])))
+            plan_spatial(functional_testbed(), [TenantSpec("mlp", "mlp")])
+            IncrementalCompiler(cache=cache).compile(mlp(), arch)
+        assert _memo_state() == before
+        assert cache.stats() == CompileCache().stats()
+
+    def test_explicit_cache_is_honoured_inside_the_seam(self):
+        cache = CompileCache()
+        with reference.installed():
+            CIMMLC(functional_testbed(), cache=cache).compile(mlp())
+        assert cache.profile_misses >= 1 and cache.dup_misses >= 1
+
+    def test_restores_when_the_block_raises(self):
+        original = vars(cg)["pipelined_latency"]
+        with pytest.raises(RuntimeError):
+            with reference.installed():
+                raise RuntimeError("boom")
+        assert cg.pipelined_latency is original
+        assert runner_mod._PROCESS_CACHE is not None
+
+    def test_only_oracle_and_bench_import_the_seam(self):
+        allowed = {os.path.join("repro", "perf", "reference.py"),
+                   os.path.join("repro", "perf", "bench.py")}
+        offenders = []
+        for dirpath, _, files in os.walk(os.path.join(SRC, "repro")):
+            for name in files:
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(dirpath, name)
+                rel = os.path.relpath(path, SRC)
+                with open(path) as fh:
+                    text = fh.read()
+                if "REPRO_FASTPATH" in text:
+                    offenders.append((rel, "REPRO_FASTPATH"))
+                if rel in allowed:
+                    continue
+                package = rel[:-3].replace(os.sep, ".").split(".")
+                for node in ast.walk(ast.parse(text)):
+                    if isinstance(node, ast.ImportFrom):
+                        base = package[:len(package) - node.level] \
+                            if node.level else []
+                        module = ".".join(base + ([node.module]
+                                                  if node.module else []))
+                        names = [f"{module}.{a.name}" for a in node.names]
+                    elif isinstance(node, ast.Import):
+                        names = [a.name for a in node.names]
+                    else:
+                        continue
+                    if any(n == "repro.perf.reference"
+                           or n.startswith("repro.perf.reference.")
+                           for n in names):
+                        offenders.append((rel, "imports the oracle"))
+        assert offenders == []
 
 
 class TestNocKernelEquality:
@@ -96,10 +180,8 @@ class TestNocKernelEquality:
     ])
     @pytest.mark.parametrize("n", [1, 2, 7, 17, 32])
     def test_average_and_max_cost(self, spec, n):
-        with fastpath(False):
-            ref = (spec.average_cost(n), spec.max_cost(n))
-        with fastpath(True):
-            fast = (spec.average_cost(n), spec.max_cost(n))
+        ref = (reference.average_cost(spec, n), reference.max_cost(spec, n))
+        fast = (spec.average_cost(n), spec.max_cost(n))
         assert ref == fast  # exact, not approx
 
 
@@ -117,35 +199,31 @@ class TestReportEquality:
     @pytest.mark.parametrize("model,arch_fn", CASES)
     def test_compile_reports_identical(self, model, arch_fn):
         arch = arch_fn()
-        with fastpath(False):
+        with reference.installed():
             ref = CIMMLC(arch).compile(model())
-        with fastpath(True):
-            fast = CIMMLC(arch).compile(model())
+        fast = CIMMLC(arch).compile(model())
         assert _report_fields(ref.report) == _report_fields(fast.report)
 
     @pytest.mark.parametrize("model,arch_fn", CASES[:2])
     def test_baseline_reports_identical(self, model, arch_fn):
         arch = arch_fn()
-        with fastpath(False):
+        with reference.installed():
             ref = no_optimization(model(), arch)
-        with fastpath(True):
-            fast = no_optimization(model(), arch)
+        fast = no_optimization(model(), arch)
         assert _report_fields(ref.report) == _report_fields(fast.report)
 
     def test_simulator_identical_on_one_schedule(self):
         arch = isaac_baseline()
         schedule = CIMMLC(arch).schedule(lenet())
-        with fastpath(False):
+        with reference.installed():
             ref = PerformanceSimulator(arch).run(schedule)
-        with fastpath(True):
-            fast = PerformanceSimulator(arch).run(schedule)
+        fast = PerformanceSimulator(arch).run(schedule)
         assert _report_fields(ref) == _report_fields(fast)
 
     def test_multichip_report_identical(self):
-        with fastpath(False):
+        with reference.installed():
             ref = shard(resnet18(), MultiChipSystem(isaac_baseline(), 2))
-        with fastpath(True):
-            fast = shard(resnet18(), MultiChipSystem(isaac_baseline(), 2))
+        fast = shard(resnet18(), MultiChipSystem(isaac_baseline(), 2))
         assert ref.stages == fast.stages
         assert ref.report.total_cycles == fast.report.total_cycles
         assert ref.report.steady_state_interval == \
@@ -157,30 +235,110 @@ class TestReportEquality:
             assert _report_fields(a) == _report_fields(b)
 
 
+def _profiles(model, arch_fn):
+    arch = arch_fn()
+    return list(CostModel(arch).profiles(model()).values()), \
+        arch.chip.core_number
+
+
 class TestSearchKernelEquality:
     # table2_example is excluded: the whole model exceeds its 2-core
     # chip, so a single-segment search raises CapacityError on both
-    # paths (the compile path segments first — covered above).
+    # sides (the compile path segments first — covered above).
     @pytest.mark.parametrize("model,arch_fn", CASES[:3])
     def test_duplication_searches_identical(self, model, arch_fn):
-        arch = arch_fn()
-        profiles = list(CostModel(arch).profiles(model()).values())
-        budget = arch.chip.core_number
-        with fastpath(False):
+        profiles, budget = _profiles(model, arch_fn)
+        with reference.installed():
             ref = (duplicate_min_bottleneck(profiles, budget),
                    duplicate_min_total(profiles, budget))
-        with fastpath(True):
-            fast = (duplicate_min_bottleneck(profiles, budget),
-                    duplicate_min_total(profiles, budget))
+        fast = (duplicate_min_bottleneck(profiles, budget),
+                duplicate_min_total(profiles, budget))
         assert ref == fast
+
+    @pytest.mark.parametrize("model,arch_fn", CASES[:3])
+    @pytest.mark.parametrize("scale", [1, 3])
+    def test_search_bodies_identical(self, model, arch_fn, scale):
+        profiles, budget = _profiles(model, arch_fn)
+        budget *= scale
+        assert reference.duplicate_min_bottleneck(profiles, budget) == \
+            cg._duplicate_min_bottleneck(profiles, budget)
+        assert reference.duplicate_min_total(profiles, budget) == \
+            cg._duplicate_min_total(profiles, budget)
+
+    def test_refine_exchange_identical_from_perturbed_starts(self):
+        profiles, budget = _profiles(vit_tiny, CASES[2][1])
+        cim = [p for p in profiles if p.is_cim]
+        rng = random.Random(0)
+        for _ in range(5):
+            start = {p.name: 1 for p in cim}
+            spare = budget - sum(p.cores_per_replica for p in cim)
+            for p in rng.sample(cim, len(cim)):
+                extra = rng.randint(0, min(p.max_useful_dup - 1,
+                                           spare // p.cores_per_replica))
+                start[p.name] += extra
+                spare -= extra * p.cores_per_replica
+            assert reference.refine_exchange(cim, budget, dict(start)) == \
+                cg._refine_exchange(cim, budget, dict(start))
+
+    @pytest.mark.parametrize("num_mvms", [1, 2, 7, 100, 511, 512, 513,
+                                          4096, 50_000])
+    def test_useful_dups_identical_at_every_size(self, num_mvms):
+        profile = _profiles(vit_tiny, CASES[2][1])[0][0]
+        for cap in (1, 3, 64, num_mvms, 10 * num_mvms):
+            p = dataclasses.replace(profile, num_mvms=num_mvms,
+                                    max_useful_dup=cap,
+                                    cores_per_replica=1)
+            assert reference.useful_dups(p, cap) == \
+                cg._useful_dups(p, cap)
+
+    @pytest.mark.parametrize("model,arch_fn", CASES)
+    def test_segment_latencies_identical(self, model, arch_fn):
+        arch = arch_fn()
+        schedule = CIMMLC(arch).schedule(model())
+        for seg in range(len(schedule.segments)):
+            decisions = schedule.segment_decisions(seg)
+            for pipelined in (True, False):
+                assert reference.segment_latencies(decisions, pipelined) \
+                    == performance._segment_latencies(decisions, pipelined)
+            assert reference.pipelined_latency(decisions) == \
+                cg.pipelined_latency(decisions)
+            assert reference.sequential_latency(decisions) == \
+                cg.sequential_latency(decisions)
+        undup = [OpDecision(d.profile) for d in decisions]
+        assert reference.pipelined_latency(undup) == \
+            cg.pipelined_latency(undup)
 
     def test_placement_identical(self):
         schedule = CIMMLC(isaac_baseline()).schedule(lenet())
-        with fastpath(False):
-            ref = place_greedy(schedule, io_anchor=0)
-        with fastpath(True):
-            fast = place_greedy(schedule, io_anchor=0)
-        assert ref == fast
+        for io_anchor in (None, 0, 5):
+            ref = reference.place_greedy(schedule, io_anchor=io_anchor)
+            fast = place_greedy(schedule, io_anchor=io_anchor)
+            assert ref == fast
+
+    def test_placement_identical_on_a_region(self):
+        arch = isaac_baseline()
+        schedule = CIMMLC(arch.with_cores(16)).schedule(lenet())
+        region = list(range(40, 56))
+        kwargs = dict(region=region, die_cores=arch.chip.core_number)
+        assert reference.place_greedy(schedule, **kwargs) == \
+            place_greedy(schedule, **kwargs)
+
+
+class TestBenchRefusal:
+    def test_run_bench_refuses_when_digests_differ(self, monkeypatch):
+        from repro.perf.bench import run_bench
+
+        real = reference.refine_exchange
+
+        def perturbed(cim, budget, dups, cache=None):
+            dups = real(cim, budget, dups, cache)
+            dups[cim[0].name] += 1
+            return dups
+
+        monkeypatch.setattr(reference, "refine_exchange", perturbed)
+        with pytest.raises(RuntimeError, match="'duplication'.*refusing"):
+            run_bench(["duplication"], quick=True)
+        assert cg._refine_exchange is not perturbed   # seam undone
 
 
 class TestCompileCache:
@@ -253,7 +411,7 @@ class TestSweepRunnerFastPath:
         assert result.results[0].summary == result.results[1].summary
         assert len(result) == 3                 # order and size preserved
 
-    def test_dedup_disabled_on_reference_path(self, monkeypatch):
+    def test_dedup_also_inside_reference_seam(self, monkeypatch):
         base = functional_testbed()
         graph = mlp()
         space = SweepSpace([self._point("a", base, graph),
@@ -262,9 +420,10 @@ class TestSweepRunnerFastPath:
         real = runner_mod.evaluate_point
         monkeypatch.setattr(runner_mod, "evaluate_point",
                             lambda p: calls.append(p.label) or real(p))
-        with fastpath(False):
+        with reference.installed():
             result = SweepRunner().run(space)
-        assert result.deduped == 0 and len(calls) == 2
+        assert result.deduped == 1 and calls == ["a"]
+        assert result.results[0].summary == result.results[1].summary
 
     def test_pool_persists_until_new_graph(self):
         base = functional_testbed()
@@ -306,10 +465,9 @@ class TestSweepRunnerFastPath:
         def space():
             return SweepSpace.from_arch_points(
                 [("c8", base.with_cores(8))], mlp(), series=series)
-        with fastpath(False):
+        with reference.installed():
             ref = SweepRunner().run(space())
-        with fastpath(True):
-            fast = SweepRunner().run(space())
+        fast = SweepRunner().run(space())
         assert [r.summary for r in ref] == [r.summary for r in fast]
 
 
@@ -445,57 +603,49 @@ class TestDiskCompileCache:
 
 
 class TestIncrementalCompiler:
-    def test_one_axis_family_single_full_compile(self):
+    def test_one_axis_family_matches_scratch(self):
         graph = mlp()
         arch = functional_testbed()
         inc = IncrementalCompiler()
-        with fastpath(True):
-            results = {c: inc.compile(graph, arch.with_cores(c))
-                       for c in (16, 24, 32)}
-        assert inc.full_compiles == 1            # only the first point
-        assert inc.delta_compiles == 2           # the rest delta-patch
+        results = {c: inc.compile(graph, arch.with_cores(c))
+                   for c in (16, 24, 32)}
+        assert inc.full_compiles == 3
         for cores, res in results.items():
             scratch = CIMMLC(arch.with_cores(cores)).compile(mlp())
             assert _report_fields(res.report) == \
                 _report_fields(scratch.report)
 
-    def test_exact_repeat_returns_stored_result(self):
-        graph = mlp()
-        arch = functional_testbed()
-        with fastpath(True):
-            inc = IncrementalCompiler()
-            first = inc.compile(graph, arch)
-            again = inc.compile(graph, arch)
-        assert again is first and inc.exact_hits == 1
-
     def test_equal_graph_copies_get_distinct_schedules(self):
         # Two tenants holding equal-signature copies must not share (and
-        # cross-annotate) one schedule; the replay must splice instead.
-        with fastpath(True):
-            inc = IncrementalCompiler()
-            a = inc.compile(mlp(), functional_testbed())
-            searched = inc.searched_segments
-            b = inc.compile(mlp(), functional_testbed())
+        # cross-annotate) one schedule; the replay must hit the cache
+        # instead of re-searching.
+        inc = IncrementalCompiler()
+        a = inc.compile(mlp(), functional_testbed())
+        dup_misses = inc.cache.dup_misses
+        b = inc.compile(mlp(), functional_testbed())
         assert a.schedule is not b.schedule
-        assert inc.delta_compiles == 1
-        assert inc.searched_segments == searched  # no re-search
-        assert inc.spliced_segments >= 1
+        assert inc.cache.dup_misses == dup_misses   # no re-search
+        assert inc.cache.profile_hits >= 1 and inc.cache.dup_hits >= 1
         assert _report_fields(a.report) == _report_fields(b.report)
 
     def test_reference_path_defers_to_plain_compile(self):
-        with fastpath(False):
-            inc = IncrementalCompiler()
+        inc = IncrementalCompiler()
+        with reference.installed():
             res = inc.compile(mlp(), functional_testbed())
-        assert inc.full_compiles == 0 and inc.delta_compiles == 0
+        assert inc.full_compiles == 0
+        assert inc.cache.stats() == CompileCache().stats()  # bypassed
         ref = CIMMLC(functional_testbed()).compile(mlp())
         assert _report_fields(res.report) == _report_fields(ref.report)
 
     def test_stats_include_cache_counters(self):
-        with fastpath(True):
-            inc = IncrementalCompiler(cache=CompileCache())
-            inc.compile(mlp(), functional_testbed())
+        inc = IncrementalCompiler(cache=CompileCache())
+        inc.compile(mlp(), functional_testbed())
         stats = inc.stats()
+        # The keys the host-time benchmark's traced run reads.
+        for key in ("exact_hits", "full_compiles", "delta_compiles",
+                    "spliced_segments"):
+            assert key in stats
         assert stats["full_compiles"] == 1
+        assert stats["exact_hits"] == stats["delta_compiles"] == \
+            stats["spliced_segments"] == 0
         assert stats["cache_profiles_stored"] >= 1
-        inc.clear()
-        assert inc.stats()["full_compiles"] == 0

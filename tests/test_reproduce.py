@@ -340,7 +340,6 @@ class TestDiskCacheIsolation:
         monkeypatch.setenv("REPRO_DISK_CACHE", "1")
         monkeypatch.setenv("REPRO_COMPILE_CACHE_DIR", str(user_store))
         original_cache = runner_mod._PROCESS_CACHE
-        original_incremental = runner_mod._PROCESS_INCREMENTAL
         with isolated_disk_cache():
             assert isinstance(runner_mod._PROCESS_CACHE, DiskCompileCache)
             assert not runner_mod._PROCESS_CACHE.root.startswith(
@@ -352,7 +351,6 @@ class TestDiskCacheIsolation:
         assert sentinel.read_bytes() == b"user data"
         assert os.environ["REPRO_COMPILE_CACHE_DIR"] == str(user_store)
         assert runner_mod._PROCESS_CACHE is original_cache
-        assert runner_mod._PROCESS_INCREMENTAL is original_incremental
 
     def test_isolation_is_a_noop_when_disk_cache_is_off(self, monkeypatch):
         from repro.explore import runner as runner_mod
