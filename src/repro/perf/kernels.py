@@ -7,10 +7,10 @@ the cached-vs-live sweeps stay value-exact:
 * elementwise steps (``ceil``, ``floor-divide``, ``min``/``max``,
   multiply, add) are single IEEE-754 operations in both paths, so the
   vectorized form rounds exactly like the scalar form;
-* reductions that the reference computes as a left-to-right Python
-  ``sum`` use :func:`seq_sum` (``np.add.accumulate``), which applies the
-  same left-to-right addition order — *not* ``np.sum``, whose pairwise
-  summation would round differently;
+* reductions that the reference computes as an explicit left-to-right
+  loop use :func:`seq_sum` (``np.add.accumulate``), which applies the
+  same addition order — *not* ``np.sum``, whose pairwise summation
+  would round differently;
 * argmax-style selections keep the reference's first-wins tie-breaking
   (``np.argmax`` returns the first maximal index, exactly like
   ``list.index(max(...))``).
@@ -29,11 +29,15 @@ import numpy as np
 
 
 def seq_sum(values: np.ndarray) -> float:
-    """Left-to-right float sum, bit-identical to Python's ``sum()``.
+    """Left-to-right float sum, bit-identical to an explicit loop
+    ``total = 0.0; for v in values: total += v``.
 
     ``np.add.accumulate`` is a sequential prefix scan, so its last
-    element applies the additions in exactly the reference order
-    (``np.sum`` would use pairwise summation and round differently).
+    element applies the additions in exactly that order (``np.sum``
+    would use pairwise summation and round differently).  Python's
+    ``sum()`` agrees only through 3.11: from 3.12 it compensates float
+    rounding (``sum([1e16, 1.0, -1e16])`` is ``1.0`` there, ``0.0``
+    here).
     """
     if len(values) == 0:
         return 0.0
@@ -416,6 +420,124 @@ class RefineExchange:
                               int(d_down[p, q])),
                              (p, int(d_up[p]), q, int(d_down[p, q]))))
         return min(ties)[1]
+
+
+# ---------------------------------------------------------------------------
+# Stage interval table (multi-chip partitioner)
+# ---------------------------------------------------------------------------
+
+
+#: Largest ``(width x stages)`` float64 block the interval table bisects
+#: at once; keeps the working set cache-resident and the memory bounded.
+INTERVAL_BLOCK = 2 ** 14
+
+
+def interval_table(cores: Sequence[int], loads: Sequence[float],
+                   floors: Sequence[float], bits: Sequence[int],
+                   budget: int, max_cores: int, max_bits: int,
+                   need: Optional[np.ndarray] = None) -> np.ndarray:
+    """Predicted interval of every fitting stage ``[j, i)`` of operators.
+
+    Per-operator columns in (non-CIM rows are all zero; a CIM row has at
+    least one core, which is how the kernel tells them apart), a float64
+    ``(n, n + 1)`` table out: ``inf`` where the stage does not fit
+    ``max_cores``/``max_bits`` or ``need[j, i]`` (default: every pair)
+    is False.  Value-identical to
+    the scalar bisection (``repro.perf.reference.predict_interval``)
+    for every stage at once:
+
+    * the fitting starts of end ``i`` are exactly ``[first[i], i)``:
+      the prefix sums of cores and bits are monotone, so
+      ``np.searchsorted`` finds where the scalar downward scan breaks;
+    * ``floor`` is a running ``max`` of the (non-negative) floors and
+      ``hi`` a ``max`` of ``load / cores`` — exact in any order;
+    * ``cores_at(T)`` folds only the CIM rows of the stage.  Stages are
+      sorted by CIM count into end-aligned ``(width x stages)`` blocks
+      of at most :data:`INTERVAL_BLOCK` elements, zero-padded at the
+      top, and ``np.add.accumulate`` down each column adds the same
+      ``max(c, load / T)`` terms left to right (leading ``0.0`` terms
+      leave the fold unchanged);
+    * each stage keeps the early ``lo`` return and the 48
+      ``(lo + hi) / 2`` steps of the scalar search.
+    """
+    n = len(cores)
+    table = np.full((n, n + 1), math.inf)
+    if n == 0:
+        return table
+    c = np.asarray(cores, dtype=np.float64)
+    is_cim = c > 0
+    load = np.asarray(loads, dtype=np.float64)
+    core_sum = np.concatenate(([0], np.cumsum(cores, dtype=np.int64)))
+    bit_sum = np.concatenate(([0], np.cumsum(bits, dtype=np.int64)))
+    first = np.maximum(np.searchsorted(core_sum, core_sum - max_cores),
+                       np.searchsorted(bit_sum, bit_sum - max_bits))
+    j_idx = np.arange(n)[:, None]
+    pairs = (j_idx >= first[None, :]) & (j_idx < np.arange(n + 1)[None, :])
+    if need is not None:
+        pairs &= need
+    starts, ends = np.nonzero(pairs)
+    if starts.size == 0:
+        return table
+
+    # floor[j, i-1] = max(0.0, floors[j:i]); ratio likewise over the
+    # CIM rows' load / cores (the search's upper end).
+    upper = j_idx <= np.arange(n)[None, :]
+    floor = np.maximum.accumulate(
+        np.where(upper, np.asarray(floors, dtype=np.float64), 0.0),
+        axis=1)[starts, ends - 1]
+    ratio = np.divide(load, c, out=np.zeros(n), where=is_cim)
+    hi = np.maximum.accumulate(np.where(upper, ratio, 0.0),
+                               axis=1)[starts, ends - 1]
+    lo = np.maximum(floor, 1.0)
+    hi = np.maximum(lo, hi)
+
+    # The fold runs over CIM rows only: stage [j, i) covers CIM rows
+    # [cim_sum[j], cim_sum[i]) of the compressed columns.
+    cim_sum = np.concatenate(([0], np.cumsum(is_cim, dtype=np.int64)))
+    lead, tail = cim_sum[starts], cim_sum[ends]
+    count = tail - lead
+    value = np.where(count > 0, hi, floor)
+    c_pad = np.concatenate(([0.0], c[is_cim]))
+    load_pad = np.concatenate(([0.0], load[is_cim]))
+    by_width = np.flatnonzero(count > 0)
+    by_width = by_width[np.argsort(count[by_width], kind="stable")]
+    done = 0
+    while done < by_width.size:
+        widths = count[by_width[done:done + INTERVAL_BLOCK]]
+        fit = widths * np.arange(1, widths.size + 1) <= INTERVAL_BLOCK
+        block = by_width[done:done + max(1, int(np.count_nonzero(fit)))]
+        done += block.size
+        width = int(count[block[-1]])
+        rows = tail[block][None, :] - width + np.arange(width)[:, None]
+        rows = np.where(rows >= lead[block][None, :], rows + 1, 0)
+        value[block] = _bisect_block(c_pad[rows], load_pad[rows],
+                                     lo[block], hi[block], budget)
+    table[starts, ends] = value
+    return table
+
+
+def _bisect_block(c: np.ndarray, load: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray, budget: int) -> np.ndarray:
+    """The scalar search on every column of one interval-table block:
+    ``lo`` where ``cores_at(lo)`` fits the budget, else ``hi`` after 48
+    bisection steps."""
+    def fits(target: np.ndarray, c: np.ndarray,
+             load: np.ndarray) -> np.ndarray:
+        terms = np.maximum(c, load / target)
+        return np.add.accumulate(terms, axis=0)[-1] <= budget
+
+    result = lo.copy()
+    todo = np.flatnonzero(~fits(lo, c, load))
+    if todo.size:
+        c, load = c[:, todo], load[:, todo]
+        lo, hi = lo[todo], hi[todo]
+        for _ in range(48):
+            mid = (lo + hi) / 2
+            ok = fits(mid, c, load)
+            hi = np.where(ok, mid, hi)
+            lo = np.where(ok, lo, mid)
+        result[todo] = hi
+    return result
 
 
 # ---------------------------------------------------------------------------

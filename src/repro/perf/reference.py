@@ -24,11 +24,14 @@ from __future__ import annotations
 import heapq
 import math
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
+from ..arch import CIMArchitecture
 from ..arch.noc import NocSpec
 from ..errors import CapacityError, ScheduleError
 from ..explore import runner
+from ..scale import partition as scale_partition
 from ..sched import cg, placement
 from ..sched.compiler import CIMMLC
 from ..sched.costs import OpProfile
@@ -37,6 +40,21 @@ from ..serve import partition
 from ..sim import performance
 from .cache import CompileCache
 from .incremental import IncrementalCompiler
+
+
+def _fold(values: Iterable[float]) -> float:
+    """Left-to-right float sum as an explicit loop.
+
+    The kernels' ordered reductions (:func:`repro.perf.kernels.seq_sum`,
+    ``np.add.accumulate``) add in exactly this order.  Python's ``sum()``
+    matches them only through 3.11: from 3.12 it compensates float
+    rounding, so the oracle never uses it on non-integer terms.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
 
 # ---------------------------------------------------------------------------
 # NoC cost aggregates
@@ -49,7 +67,8 @@ def average_cost(spec: NocSpec, n: int) -> float:
     if n <= 1:
         return 0.0
     matrix = spec.hop_matrix(n)
-    total = sum(matrix[i][j] for i in range(n) for j in range(n) if i != j)
+    total = _fold(matrix[i][j] for i in range(n) for j in range(n)
+                  if i != j)
     return total / (n * (n - 1))
 
 
@@ -279,14 +298,14 @@ def pipelined_latency(decisions: Sequence[OpDecision]) -> float:
         return 0.0
     lats = [d.latency() for d in decisions]
     bottleneck = max(lats)
-    fills = sum(d.fill() for d in decisions) - \
+    fills = _fold(d.fill() for d in decisions) - \
         decisions[lats.index(bottleneck)].fill()
     return bottleneck + max(0.0, fills)
 
 
 def sequential_latency(decisions: Sequence[OpDecision]) -> float:
     """Scalar :func:`~repro.sched.cg.sequential_latency`."""
-    return sum(d.latency() for d in decisions)
+    return _fold(d.latency() for d in decisions)
 
 
 def segment_latencies(decisions: Sequence[OpDecision], pipelined: bool
@@ -338,7 +357,7 @@ def place_greedy(schedule: Schedule, segment: int = 0,
                 anchors.append((io_anchor, io_bits))
         if anchors:
             def attraction(core: int) -> Tuple[float, int]:
-                return (sum(w * hop[a][core] for a, w in anchors), core)
+                return (_fold(w * hop[a][core] for a, w in anchors), core)
 
             chosen = sorted(free, key=attraction)[:need]
         else:
@@ -346,6 +365,68 @@ def place_greedy(schedule: Schedule, segment: int = 0,
         result[name] = sorted(chosen)
         free.difference_update(chosen)
     return result
+
+
+# ---------------------------------------------------------------------------
+# Multi-chip partition
+# ---------------------------------------------------------------------------
+
+
+def predict_interval(ops: Sequence[OpProfile], floor: float,
+                     budget: int) -> float:
+    """Best steady-state interval a stage can reach on one chip: the
+    scalar bisection on ``sum(max(cores_i, load_i / T)) <= budget``
+    (see ``scale.partition._interval_matrix``)."""
+    cim = [(float(p.cores_per_replica), scale_partition._load(p))
+           for p in ops if p.is_cim]
+    if not cim:
+        return floor
+
+    def cores_at(target: float) -> float:
+        total = 0.0
+        for c, load in cim:
+            share = load / target
+            # max(c, share), inlined: this loop is the oracle's hot spot.
+            total += share if share > c else c
+        return total
+
+    lo = max(floor, 1.0)
+    if cores_at(lo) <= budget:
+        return lo
+    hi = max(lo, max(load / c for c, load in cim if c > 0))
+    for _ in range(48):
+        mid = (lo + hi) / 2
+        if cores_at(mid) <= budget:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def interval_matrix(ops: Sequence[OpProfile], arch: CIMArchitecture,
+                    need=None) -> List[List[float]]:
+    """Scalar ``scale.partition._interval_matrix``: one
+    :func:`predict_interval` per fitting, needed stage, found by
+    scanning each end's starts downward until a stage stops fitting."""
+    n = len(ops)
+    cores = [0]
+    weights = [0]
+    for p in ops:
+        cores.append(cores[-1] + (p.cores_per_replica if p.is_cim else 0))
+        weights.append(weights[-1] + (p.weight_bits if p.is_cim else 0))
+    floors = [scale_partition._floor(p) for p in ops]
+    budget = max(1, arch.chip.core_number)
+    mat = [[math.inf] * (n + 1) for _ in range(n)]
+    for i in range(1, n + 1):
+        floor = 0.0
+        for j in range(i - 1, -1, -1):
+            floor = max(floor, floors[j])
+            if not scale_partition._stage_fits(
+                    cores[i] - cores[j], weights[i] - weights[j], arch):
+                break  # larger stages only get heavier
+            if need is None or need[j, i]:
+                mat[j][i] = predict_interval(ops[j:i], floor, budget)
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +464,7 @@ SWAPS = (
     (performance, "pipelined_latency", pipelined_latency),
     (performance, "_segment_latencies", segment_latencies),
     (placement, "place_greedy", place_greedy),
+    (scale_partition, "_interval_matrix", interval_matrix),
     (IncrementalCompiler, "compile", _compile_uncached),
     (cg, "_IMPLICIT_SEARCH_CACHE", None),
     (runner, "_PROCESS_CACHE", None),

@@ -16,18 +16,28 @@ The partitioner splits the topological operator order into contiguous
 
 Contiguous splits keep stage ``i`` -> ``i+1`` traffic on adjacent chips of
 a ring, which is why the dynamic program optimizes boundary positions
-(exactly, in O(nodes^2 x chips)) rather than arbitrary node sets.
+(exactly) rather than arbitrary node sets.  The DP itself makes
+O(nodes^2 x chips) table lookups; the table it reads — one 48-step
+bisection per fitting stage, O(nodes^2 x stage length x 48) float
+operations in scalar form — is what dominated, so
+:func:`repro.perf.kernels.interval_table` evaluates it as array math,
+and only for the pairs the DP reads.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..arch import CIMArchitecture
 from ..errors import CapacityError
 from ..graph import Graph
+from ..perf.kernels import interval_table
 from ..sched.costs import CostModel, OpProfile
+
 
 def _floor(p: OpProfile) -> float:
     """Duplication-independent interval floor of one operator.
@@ -54,49 +64,30 @@ def _load(p: OpProfile) -> float:
     return float(p.num_mvms * p.mvm_cycles_base * p.cores_per_replica)
 
 
-def _predict_interval(ops: Sequence[OpProfile], floor: float,
-                      budget: int) -> float:
-    """Best steady-state interval a stage can reach on one chip.
+def _interval_matrix(ops: Sequence[OpProfile], arch: CIMArchitecture,
+                     need: Optional[np.ndarray] = None
+                     ) -> List[List[float]]:
+    """interval[j][i]: predicted optimized interval of stage ``ops[j:i]``
+    on ``arch`` (inf where it does not fit, or where ``need[j, i]`` is
+    False).
 
-    Continuous relaxation of the duplication search
+    The prediction is a continuous relaxation of the duplication search
     (:func:`repro.sched.cg.duplicate_min_bottleneck`): interval ``T`` is
     feasible when ``sum(max(cores_i, load_i / T)) <= budget`` — every
     operator keeps at least one replica and elastic operators take
-    ``load / T`` cores.  Feasibility is monotone in ``T``, so binary
-    search between the floor and the duplication-1 latency.
+    ``load / T`` cores.  Feasibility is monotone in ``T``, so a binary
+    search between the stage floor and the duplication-1 latency finds
+    it (:func:`repro.perf.kernels.interval_table`).
     """
-    cim = [(float(p.cores_per_replica), _load(p)) for p in ops if p.is_cim]
-    if not cim:
-        return floor
-
-    def cores_at(target: float) -> float:
-        return sum(max(c, load / target) for c, load in cim)
-
-    lo = max(floor, 1.0)
-    if cores_at(lo) <= budget:
-        return lo
-    hi = max(lo, max(load / c for c, load in cim if c > 0))
-    for _ in range(48):
-        mid = (lo + hi) / 2
-        if cores_at(mid) <= budget:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _prefix_sums(order: Sequence[str], profiles: Dict[str, OpProfile]
-                 ) -> Tuple[List[float], List[int], List[int]]:
-    """Cumulative (load, cores, weight_bits) over the topological order."""
-    loads = [0.0]
-    cores = [0]
-    weights = [0]
-    for name in order:
-        p = profiles[name]
-        loads.append(loads[-1] + _load(p))
-        cores.append(cores[-1] + (p.cores_per_replica if p.is_cim else 0))
-        weights.append(weights[-1] + (p.weight_bits if p.is_cim else 0))
-    return loads, cores, weights
+    return interval_table(
+        cores=[p.cores_per_replica if p.is_cim else 0 for p in ops],
+        loads=[_load(p) for p in ops],
+        floors=[_floor(p) for p in ops],
+        bits=[p.weight_bits if p.is_cim else 0 for p in ops],
+        budget=max(1, arch.chip.core_number),
+        max_cores=arch.chip.core_number,
+        max_bits=arch.chip_capacity_bits,
+        need=need).tolist()
 
 
 def boundary_cut_bits(graph: Graph, order: Sequence[str],
@@ -122,6 +113,29 @@ def boundary_cut_bits(graph: Graph, order: Sequence[str],
     return bits
 
 
+def _boundary_cuts(graph: Graph, order: Sequence[str]) -> List[int]:
+    """:func:`boundary_cut_bits` at every position ``0..len(order)``.
+
+    One sweep: a tensor produced at position ``p`` whose last consumer
+    sits at ``q`` crosses exactly the boundaries ``p < b <= q``, so it
+    adds its bits to a difference array at ``p + 1`` and takes them
+    back at ``q + 1``.
+    """
+    pos = {name: k for k, name in enumerate(order)}
+    delta = [0] * (len(order) + 1)
+    for p, name in enumerate(order):
+        for out in graph.node(name).outputs:
+            spec = graph.tensors.get(out)
+            if spec is None or spec.is_weight:
+                continue
+            last = max((pos[c.name] for c in graph.consumers(out)
+                        if c.name in pos), default=p)
+            if last > p:
+                delta[p + 1] += spec.size_bits
+                delta[last + 1] -= spec.size_bits
+    return list(itertools.accumulate(delta))
+
+
 def _stage_fits(cores_used: int, weight_bits: int,
                 arch: CIMArchitecture) -> bool:
     return (cores_used <= arch.chip.core_number
@@ -143,17 +157,20 @@ def min_chips(graph: Graph, arch: CIMArchitecture,
     1
     """
     profiles = (cost_model or CostModel(arch)).profiles(graph)
-    order = [n.name for n in graph.topological()]
+    return _min_chips([profiles[n.name] for n in graph.topological()], arch)
+
+
+def _min_chips(ops: Sequence[OpProfile], arch: CIMArchitecture) -> int:
+    """:func:`min_chips` over profiles in topological order."""
     chips = 1
     cores = 0
     weights = 0
-    for name in order:
-        p = profiles[name]
+    for p in ops:
         need_cores = p.cores_per_replica if p.is_cim else 0
         need_bits = p.weight_bits if p.is_cim else 0
         if not _stage_fits(need_cores, need_bits, arch):
             raise CapacityError(
-                f"operator {name!r} alone exceeds one {arch.name} chip "
+                f"operator {p.name!r} alone exceeds one {arch.name} chip "
                 f"({need_cores} cores / {need_bits} weight bits)")
         if not _stage_fits(cores + need_cores, weights + need_bits, arch):
             chips += 1
@@ -210,7 +227,9 @@ def partition_layers(graph: Graph, num_chips: int, arch: CIMArchitecture,
         raise CapacityError("cannot partition an empty graph")
     stages_wanted = min(num_chips, n)
     if chip_archs is None:
-        needed = min_chips(graph, arch, cost_model)
+        profiles = (cost_model or CostModel(arch)).profiles(graph)
+        ops = [profiles[name] for name in order]
+        needed = _min_chips(ops, arch)
         if needed > num_chips:
             raise CapacityError(
                 f"{graph.name} needs at least {needed} {arch.name} chips "
@@ -218,43 +237,35 @@ def partition_layers(graph: Graph, num_chips: int, arch: CIMArchitecture,
                 f"bits, chip capacity {arch.chip_capacity_bits:,}); got "
                 f"{num_chips}")
 
-    cuts = [0] + [boundary_cut_bits(graph, order, p) for p in range(1, n)] \
-        + [0]
+    cuts = _boundary_cuts(graph, order)
 
-    def _interval_matrix(stage_arch: CIMArchitecture,
-                         cm: Optional[CostModel]) -> List[List[float]]:
-        """interval[j][i]: predicted optimized interval of stage
-        order[j:i] on ``stage_arch`` (inf where it does not fit)."""
-        profiles = (cm or CostModel(stage_arch)).profiles(graph)
-        _, cores, weights = _prefix_sums(order, profiles)
-        floors = [_floor(profiles[name]) for name in order]
-        budget = max(1, stage_arch.chip.core_number)
-        mat = [[math.inf] * (n + 1) for _ in range(n)]
-        for i in range(1, n + 1):
-            floor = 0.0
-            for j in range(i - 1, -1, -1):
-                floor = max(floor, floors[j])
-                if not _stage_fits(cores[i] - cores[j],
-                                   weights[i] - weights[j], stage_arch):
-                    break  # larger stages only get heavier
-                mat[j][i] = _predict_interval(
-                    [profiles[name] for name in order[j:i]], floor, budget)
-        return mat
+    def reads(layers: Sequence[int]) -> np.ndarray:
+        """The (j, i) entries DP ``layers`` read: layer 1 only row 0
+        (every other ``best[0][j]`` is inf), the last only column n."""
+        need = np.zeros((n, n + 1), dtype=bool)
+        for k in layers:
+            rows = slice(0, 1) if k == 1 else slice(None)
+            cols = slice(n, None) if k == stages_wanted else slice(None)
+            need[rows, cols] = True
+        return need
 
     if chip_archs is None:
-        shared = _interval_matrix(arch, cost_model)
+        shared = _interval_matrix(ops, arch,
+                                  reads(range(1, stages_wanted + 1)))
         mats = [shared] * stages_wanted
     else:
         # One matrix per *distinct* degraded shape — chips sharing a
         # shape share the tables.
+        sigs = [(a.chip.core_number, a.core.xb_number, a.chip_capacity_bits)
+                for a in chip_archs[:stages_wanted]]
         by_sig: Dict[Tuple, List[List[float]]] = {}
-        mats = []
-        for a in chip_archs[:stages_wanted]:
-            sig = (a.chip.core_number, a.core.xb_number,
-                   a.chip_capacity_bits)
+        for a, sig in zip(chip_archs, sigs):
             if sig not in by_sig:
-                by_sig[sig] = _interval_matrix(a, None)
-            mats.append(by_sig[sig])
+                profiles = CostModel(a).profiles(graph)
+                layers = [m for m, s in enumerate(sigs, 1) if s == sig]
+                by_sig[sig] = _interval_matrix(
+                    [profiles[name] for name in order], a, reads(layers))
+        mats = [by_sig[sig] for sig in sigs]
 
     inf = (math.inf, math.inf)
     # best[k][i]: minimal (max predicted interval, cut_bits) splitting
@@ -264,7 +275,7 @@ def partition_layers(graph: Graph, num_chips: int, arch: CIMArchitecture,
     best[0][0] = (0.0, 0.0)
     for k in range(1, stages_wanted + 1):
         interval = mats[k - 1]
-        for i in range(k, n + 1):
+        for i in [n] if k == stages_wanted else range(k, n + 1):
             for j in range(k - 1, i):
                 prev = best[k - 1][j]
                 if prev == inf or interval[j][i] == math.inf:

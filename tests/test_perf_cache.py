@@ -14,6 +14,9 @@ Layers of pinning:
 * **report equality** — whole ``PerformanceReport`` /
   ``MultiChipReport`` objects match field-for-field between the oracle
   and production;
+* **partition equality** — the multi-chip partitioner's interval table
+  equals the scalar bisection over every stage (hypothesis-generated
+  profiles), and whole partitions match the oracle's;
 * **cache behaviour** — :class:`repro.perf.CompileCache` hit counters
   prove profiles/duplication searches are shared, the sweep runner
   deduplicates identical points, and its worker pool persists across
@@ -35,7 +38,10 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.arch import (
@@ -45,9 +51,11 @@ from repro.arch import (
     noc,
     table2_example,
 )
+from repro.errors import CapacityError
 from repro.explore import SweepPoint, SweepRunner, SweepSpace, level_series
 from repro.explore import runner as runner_mod
-from repro.models import lenet, mlp, resnet18, vit_tiny
+from repro.faults import FaultModel
+from repro.models import get_model, lenet, mlp, resnet18, vit_tiny
 from repro.perf import (
     CompileCache,
     DiskCompileCache,
@@ -57,13 +65,15 @@ from repro.perf import (
     reference,
 )
 from repro.perf import diskcache as diskcache_mod
+from repro.perf.kernels import seq_sum
 from repro.sched import CIMMLC, CompilerOptions, no_optimization
 from repro.sched import cg, placement
 from repro.sched.cg import duplicate_min_bottleneck, duplicate_min_total
-from repro.sched.costs import CostModel
+from repro.sched.costs import CostModel, OpProfile
 from repro.sched.placement import annotate_placement, place_greedy
 from repro.sched.schedule import OpDecision
-from repro.scale import shard
+from repro.scale import partition as scale_partition
+from repro.scale import partition_layers, shard
 from repro.serve import TenantSpec, plan_spatial
 from repro.sim import performance
 from repro.sim.performance import PerformanceSimulator
@@ -322,6 +332,118 @@ class TestSearchKernelEquality:
         kwargs = dict(region=region, die_cores=arch.chip.core_number)
         assert reference.place_greedy(schedule, **kwargs) == \
             place_greedy(schedule, **kwargs)
+
+
+class TestOrderedSums:
+    def test_seq_sum_is_a_left_to_right_loop(self):
+        # Compensated summation (Python 3.12's sum()) would give 1.0.
+        values = [1e16, 1.0, -1e16]
+        total = 0.0
+        for value in values:
+            total += value
+        assert seq_sum(np.array(values)) == total == 0.0
+        assert reference._fold(values) == total
+
+
+#: Per-operator draws for the interval-table test: (is_cim, cores per
+#: replica as a share of the chip, num_mvms, mvm cycles, alu, mov,
+#: weight bits as a share of the chip).  Shares above 1 make operators
+#: that alone exceed the chip; num_mvms 0 makes zero-load operators.
+_interval_ops = st.lists(
+    st.tuples(st.booleans(), st.floats(0.0, 1.2), st.integers(0, 4000),
+              st.integers(1, 40), st.floats(0.0, 300.0),
+              st.floats(0.0, 300.0), st.floats(0.0, 1.2)),
+    min_size=1, max_size=14)
+
+
+def _interval_case(draws, core_number):
+    arch = functional_testbed().with_cores(core_number)
+    ops = []
+    for k, (cim, core_share, mvms, mvm, alu, mov, bit_share) in \
+            enumerate(draws):
+        cores = max(1, round(core_share * core_number)) if cim else 0
+        ops.append(OpProfile(
+            name=f"op{k}", op_type="Conv" if cim else "Relu", is_cim=cim,
+            num_mvms=mvms if cim else 0, vxb=None, n_xb=cores,
+            cores_per_replica=cores, mvm_cycles_base=mvm if cim else 0,
+            row_waves=1, input_passes=1, alu_cycles=alu, mov_cycles=mov,
+            weight_bits=round(bit_share * arch.chip_capacity_bits)
+            if cim else 0,
+            in_bits=1, out_bits=1, fill_fraction=0.5,
+            max_useful_dup=max(1, mvms)))
+    return ops, arch
+
+
+def _partition_outcome(graph, chips, arch, cost_model=None,
+                       chip_archs=None):
+    try:
+        return partition_layers(graph, chips, arch, cost_model=cost_model,
+                                chip_archs=chip_archs)
+    except CapacityError as exc:
+        return f"CapacityError: {exc}"
+
+
+#: Architectures of the partition equality test: whole-model residency
+#: on one chip, a core-bound chip, and a capacity-bound chip.
+PARTITION_ARCHS = {
+    "isaac-baseline": isaac_baseline,
+    "isaac-200-cores": lambda: isaac_baseline().with_cores(200),
+    "testbed-12-cores": lambda: functional_testbed().with_cores(12),
+}
+
+
+def _partition_three_ways(monkeypatch, *args, **kwargs):
+    """Production, production on *full* interval tables (the DP must
+    read nothing outside ``need``), and the scalar oracle."""
+    fast = _partition_outcome(*args, **kwargs)
+    table = scale_partition._interval_matrix
+    with monkeypatch.context() as patch:
+        patch.setattr(scale_partition, "_interval_matrix",
+                      lambda ops, arch, need=None: table(ops, arch))
+        full = _partition_outcome(*args, **kwargs)
+    with reference.installed():
+        oracle = _partition_outcome(*args, **kwargs)
+    return fast, full, oracle
+
+
+class TestPartitionKernelEquality:
+    @settings(max_examples=40, deadline=None)
+    @given(draws=_interval_ops, core_number=st.integers(1, 48),
+           need_seed=st.integers(0, 2 ** 32 - 1))
+    def test_interval_table_matches_the_scalar_bisection(
+            self, draws, core_number, need_seed):
+        ops, arch = _interval_case(draws, core_number)
+        assert scale_partition._interval_matrix(ops, arch) == \
+            reference.interval_matrix(ops, arch)
+        need = np.random.default_rng(need_seed).random(
+            (len(ops), len(ops) + 1)) < 0.5
+        assert scale_partition._interval_matrix(ops, arch, need) == \
+            reference.interval_matrix(ops, arch, need)
+
+    @pytest.mark.parametrize("model", ["lenet", "mlp", "tiny-conv",
+                                       "resnet18", "mobilenet"])
+    @pytest.mark.parametrize("arch_name", sorted(PARTITION_ARCHS))
+    def test_partition_layers_matches_the_oracle(self, monkeypatch, model,
+                                                 arch_name):
+        # One warm profile cache for every run: inside the seam the
+        # scalar NoC oracle would otherwise rebuild every profile.
+        graph, arch = get_model(model), PARTITION_ARCHS[arch_name]()
+        cost_model = CostModel(arch, cache=CompileCache())
+        for chips in range(1, 6):
+            fast, full, oracle = _partition_three_ways(
+                monkeypatch, graph, chips, arch, cost_model)
+            assert fast == full == oracle, chips
+
+    def test_degraded_partition_matches_the_oracle(self, monkeypatch):
+        # Chips 0 and 3 share one degraded shape, so one interval table
+        # serves both the first and the last DP layer.
+        die = functional_testbed()
+        weak = FaultModel(dead_cores=tuple(range(12))).degrade_arch(die)
+        archs = [weak, die, die.with_cores(24), weak]
+        fast, full, oracle = _partition_three_ways(
+            monkeypatch, lenet(), 4, die, chip_archs=archs)
+        assert fast == full == oracle
+        assert not isinstance(fast, str)
 
 
 class TestBenchRefusal:

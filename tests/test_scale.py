@@ -11,7 +11,8 @@ from repro.arch import (
 )
 from repro.errors import ArchitectureError, CapacityError
 from repro.explore import SweepRunner, SweepSpace
-from repro.models import get_model, resnet18
+from repro.models import MODEL_ZOO, get_model, resnet18
+from repro.scale import partition as partition_mod
 from repro.scale import (
     boundary_cut_bits,
     link_table,
@@ -122,6 +123,28 @@ class TestPartition:
         order = [n.name for n in graph.topological()]
         bits = boundary_cut_bits(graph, order, 1)
         assert bits > 0
+
+    @pytest.mark.parametrize("model", sorted(MODEL_ZOO))
+    def test_one_pass_cuts_match_boundary_cut_bits(self, model):
+        graph = get_model(model)
+        order = [n.name for n in graph.topological()]
+        assert partition_mod._boundary_cuts(graph, order) == [
+            boundary_cut_bits(graph, order, p)
+            for p in range(len(order) + 1)]
+
+    def test_profiles_built_once_per_partition(self, monkeypatch):
+        from repro.sched.costs import CostModel
+
+        calls = []
+        real = CostModel.profiles
+
+        def counting(self, graph):
+            calls.append(graph.name)
+            return real(self, graph)
+
+        monkeypatch.setattr(CostModel, "profiles", counting)
+        partition_layers(resnet18(), 2, SMALL_CHIP)
+        assert len(calls) == 1
 
     def test_stage_transfers_adjacent_chain(self):
         graph = get_model("mlp")
