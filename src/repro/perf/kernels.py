@@ -195,12 +195,19 @@ def useful_dup_options(num_mvms: int, cap: int) -> np.ndarray:
 class BottleneckSearch:
     """Array state for the min-bottleneck duplication binary search.
 
-    Precomputes per-operator columns once so each of the ~60 bisection
-    steps evaluates ``dup_for_target`` / ``cost`` as a handful of array
-    expressions instead of a Python loop over operators.  Matches
-    ``duplicate_min_bottleneck``'s scalar helpers operation for
-    operation (float divisions, floor-divide, ceil, clamps).
+    Precomputes per-operator columns once; ``dup_for_target`` / ``cost``
+    then evaluate one target or a whole vector of targets as a handful
+    of array expressions, matching ``duplicate_min_bottleneck``'s scalar
+    helpers operation for operation (float divisions, floor-divide,
+    ceil, clamps).  :meth:`first_feasible` locates the bisection's
+    feasibility boundary with such grid evaluations (one for most
+    searches, about 15 for a full bracket) instead of one ``cost`` call
+    per bisection step.
     """
+
+    #: Targets evaluated per :meth:`first_feasible` round.
+    GRID = 16
+    _steps = np.arange(1, GRID + 1, dtype=np.int64)
 
     def __init__(self, cim: Sequence, budget: int) -> None:
         self.budget = budget
@@ -218,9 +225,11 @@ class BottleneckSearch:
         self.floor = np.maximum(mov, self.mvm) + self.alu
         self.infeasible = self.max_dup + budget + 1
 
-    def dup_for_target(self, target: float) -> np.ndarray:
+    def dup_for_target(self, target: float | np.ndarray) -> np.ndarray:
         """Smallest per-op duplication meeting ``target`` (marker when
-        unreachable), as float64 integers."""
+        unreachable), as float64 integers: shape ``(ops,)`` for a scalar
+        target, ``(targets, ops)`` for a vector of targets."""
+        target = np.asarray(target, dtype=np.float64)[..., None]
         compute_budget = target - self.alu
         windows_per_replica = np.floor_divide(compute_budget, self.mvm)
         dups = np.minimum(
@@ -228,10 +237,62 @@ class BottleneckSearch:
             np.ceil(self.num_mvms / np.maximum(1.0, windows_per_replica)))
         return np.where(target < self.floor, self.infeasible, dups)
 
-    def cost(self, target: float) -> float:
+    def cost(self, target: float | np.ndarray) -> float | np.ndarray:
         """Total cores of the cheapest feasible duplication for
-        ``target`` (exact: integer-valued float64 products and sums)."""
-        return float(np.add.reduce(self.cores * self.dup_for_target(target)))
+        ``target``, reduced over operators: a float for a scalar target,
+        an array for a vector (exact: integer-valued float64 products
+        and sums)."""
+        return np.add.reduce(self.cores * self.dup_for_target(target),
+                             axis=-1)
+
+    def first_feasible(self, lo: float, hi: float) -> Optional[float]:
+        """The smallest float64 ``T`` in ``[lo, hi]`` with
+        ``cost(T) <= budget`` (``0 <= lo <= hi``), or ``None`` if even
+        ``hi`` is infeasible.
+
+        Non-negative doubles sort like their int64 bit patterns, so the
+        search runs over those integers.  The first round tests where
+        the boundary usually sits: at the largest duplication-independent
+        floor (no smaller target is reachable, and a budget that covers
+        every operator's floor stops there) and at ``hi`` (no duplication
+        helps).  Every later round evaluates ``GRID`` evenly spaced
+        targets strictly inside the open bracket and keeps the gap around
+        the first feasible one, until the bracket holds adjacent doubles.
+        The result is exact: either ``T == lo`` or ``cost`` of the next
+        double below ``T`` exceeds the budget.
+        """
+        # bad is infeasible and good feasible, or the never-evaluated
+        # sentinels one double outside [lo, hi].
+        top = _bits(hi)
+        bad, good = _bits(lo) - 1, top + 1
+        floor = _bits(max(lo, self.floor.max()))
+        points = np.array(sorted(x for x in {floor - 1, floor, top - 1, top}
+                                 if bad < x < good), dtype=np.int64)
+        while True:
+            feasible = self.cost(points.view(np.float64)) <= self.budget
+            first = int(feasible.argmax())
+            if feasible[first]:
+                good = int(points[first])
+            else:
+                first = len(points)
+            if first > 0:
+                bad = int(points[first - 1])
+            gap = good - bad
+            if gap <= 1:
+                break
+            step = max(1, gap // (self.GRID + 1))
+            points = bad + step * self._steps[:min(self.GRID, gap - 1)]
+        return None if good > top else _double(good)
+
+
+def _bits(x: float) -> int:
+    """The int64 bit pattern of a double (order-preserving for x >= 0)."""
+    return int(np.float64(x).view(np.int64))
+
+
+def _double(bits: int) -> float:
+    """Inverse of :func:`_bits`."""
+    return float(np.int64(bits).view(np.float64))
 
 
 class DupLatencyColumns:

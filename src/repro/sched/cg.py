@@ -333,10 +333,12 @@ def duplicate_min_bottleneck(profiles: Sequence[OpProfile],
 
     Binary search over the target bottleneck ``T``: the cheapest feasible
     duplication for a target is ``d_i = ceil(compute_i / T)``, so feasibility
-    is monotone in ``T``.  The ~60 bisection steps evaluate the
-    per-operator feasibility test as array expressions
-    (:class:`~repro.perf.kernels.BottleneckSearch`), and the whole result
-    is memoized on ``(profile tuple, budget)`` in the attached
+    is monotone in ``T``.  The exact feasibility boundary ``t_star`` is
+    found first, with a few array evaluations of the per-operator test on
+    a grid of targets (:meth:`~repro.perf.kernels.BottleneckSearch.
+    first_feasible`); the 60 bisection steps then decide each midpoint by
+    comparing it to ``t_star``.  The whole result is memoized on
+    ``(profile tuple, budget)`` in the attached
     :class:`~repro.perf.CompileCache` (the implicit process-wide memo
     when the caller passes none).
     """
@@ -369,12 +371,17 @@ def _duplicate_min_bottleneck(profiles: Sequence[OpProfile],
     search = BottleneckSearch(cim, budget)
     lo = max(p.mvm_cycles_base for p in cim)              # best possible
     hi = max(p.latency(1) for p in cim)                   # no duplication
-    if search.cost(hi) > budget:
+    # Every midpoint lies between lo and hi, and hi can be the smaller.
+    t_star = search.first_feasible(min(lo, hi), hi)
+    if t_star is None:
         raise CapacityError("even duplication 1 exceeds the core budget")
     # Binary search on achievable bottleneck (continuous, then round).
+    # cost never rises as T grows, so "cost(mid) <= budget" holds exactly
+    # when mid >= t_star; the 60 steps replay on that test because they
+    # usually stop before lo and hi are adjacent, so hi need not be t_star.
     for _ in range(60):
         mid = (lo + hi) / 2
-        if search.cost(mid) <= budget:
+        if mid >= t_star:
             hi = mid
         else:
             lo = mid

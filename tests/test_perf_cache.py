@@ -33,6 +33,7 @@ Layers of pinning:
 import ast
 import dataclasses
 import json
+import math
 import os
 import random
 import subprocess
@@ -65,7 +66,7 @@ from repro.perf import (
     reference,
 )
 from repro.perf import diskcache as diskcache_mod
-from repro.perf.kernels import seq_sum
+from repro.perf.kernels import BottleneckSearch, seq_sum
 from repro.sched import CIMMLC, CompilerOptions, no_optimization
 from repro.sched import cg, placement
 from repro.sched.cg import duplicate_min_bottleneck, duplicate_min_total
@@ -332,6 +333,109 @@ class TestSearchKernelEquality:
         kwargs = dict(region=region, die_cores=arch.chip.core_number)
         assert reference.place_greedy(schedule, **kwargs) == \
             place_greedy(schedule, **kwargs)
+
+
+#: Fractional cycle counts: zero, integers, and sevenths up to 1e7.
+_cycles = st.one_of(
+    st.just(0.0),
+    st.integers(0, 10 ** 7).map(float),
+    st.integers(0, 7 * 10 ** 7).map(lambda k: k / 7))
+
+
+#: Per-operator draws of the duplication-search tests: (num_mvms, cores
+#: per replica, mvm_cycles_base, row_waves, input_passes, alu, mov,
+#: max_useful_dup before clamping to num_mvms, seq_passes, reload).
+#: Passes and waves are drawn apart from mvm_cycles_base, so the
+#: bisection's ``hi`` can fall below its ``lo``; a max_useful_dup of 1
+#: makes searches that end at ``hi``.
+_search_ops = st.lists(
+    st.tuples(st.one_of(st.integers(1, 16), st.integers(1, 5000)),
+              st.integers(1, 20),
+              st.one_of(st.integers(1, 64), st.integers(1, 10 ** 5)),
+              st.integers(1, 16), st.integers(1, 64), _cycles, _cycles,
+              st.one_of(st.just(1), st.integers(1, 5000)),
+              st.integers(1, 2), _cycles),
+    min_size=1, max_size=40)
+
+
+@st.composite
+def _search_case(draw):
+    """``(profiles, budget)``: 1-40 CIM operators plus a digital operator
+    and a CIM operator with no MVMs, both skipped by the search."""
+    profiles = [
+        OpProfile(name=f"op{k}", op_type="Conv", is_cim=True,
+                  num_mvms=mvms, vxb=None, n_xb=cores,
+                  cores_per_replica=cores, mvm_cycles_base=mvm,
+                  row_waves=waves, input_passes=passes, alu_cycles=alu,
+                  mov_cycles=mov, weight_bits=1, in_bits=1, out_bits=1,
+                  fill_fraction=0.5, max_useful_dup=min(dup, mvms),
+                  seq_passes=seq, reload_cycles=reload)
+        for k, (mvms, cores, mvm, waves, passes, alu, mov, dup, seq,
+                reload) in enumerate(draw(_search_ops))]
+    digital = OpProfile(
+        name="relu", op_type="Relu", is_cim=False, num_mvms=0, vxb=None,
+        n_xb=0, cores_per_replica=0, mvm_cycles_base=0, row_waves=1,
+        input_passes=1, alu_cycles=draw(_cycles), mov_cycles=draw(_cycles),
+        weight_bits=0, in_bits=1, out_bits=1, fill_fraction=0.5,
+        max_useful_dup=1)
+    empty = dataclasses.replace(profiles[0], name="empty", num_mvms=0)
+    for op in (digital, empty):
+        profiles.insert(draw(st.integers(0, len(profiles))), op)
+    return profiles, draw(st.integers(1, 3000))
+
+
+def _search_outcome(search, profiles, budget):
+    try:
+        return search(profiles, budget)
+    except CapacityError as exc:
+        return f"CapacityError: {exc}"
+
+
+class TestBottleneckSearch:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_search_case())
+    def test_matches_the_scalar_bisection(self, case):
+        profiles, budget = case
+        assert _search_outcome(reference.duplicate_min_bottleneck,
+                               profiles, budget) == \
+            _search_outcome(cg._duplicate_min_bottleneck, profiles, budget)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_search_case())
+    def test_first_feasible_is_exact_and_cost_never_rises(self, case):
+        profiles, budget = case
+        cim = [p for p in profiles if p.is_cim and p.num_mvms > 0]
+        search = BottleneckSearch(cim, budget)
+        lo = min(max(p.mvm_cycles_base for p in cim),
+                 max(p.latency(1) for p in cim))
+        hi = max(p.latency(1) for p in cim)
+        t = search.first_feasible(lo, hi)
+        if search.cost(hi) > budget:
+            assert t is None
+        else:
+            assert lo <= t <= hi and search.cost(t) <= budget
+            assert t == lo or \
+                search.cost(np.nextafter(t, -np.inf)) > budget
+        # The bisection replay relies on cost(T) never rising with T:
+        # check it where the steps are, within 2 ulps of every floor and
+        # of every alu + k * mvm edge of the window count.
+        edges = [search.floor]
+        for p in cim:
+            windows = {math.ceil(p.num_mvms / d)
+                       for d in range(1, min(p.max_useful_dup, 64) + 1)}
+            k = np.array(sorted(windows | set(range(1, 9))), np.float64)
+            edges.append(p.alu_cycles + k * p.mvm_cycles_base)
+        grid = np.concatenate(edges)
+        near = [grid]
+        for direction in (-np.inf, np.inf):
+            step = grid
+            for _ in range(2):
+                step = np.nextafter(step, direction)
+                near.append(step)
+        grid = np.unique(np.concatenate(near))
+        costs = search.cost(grid)
+        assert np.all(np.diff(costs) <= 0)
+        assert costs.tolist() == [search.cost(x) for x in grid]
 
 
 class TestOrderedSums:
