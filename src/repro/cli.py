@@ -8,8 +8,6 @@ Commands
               (optionally parallel + cached), print table/CSV/JSON.
 ``bench``     Time the compile→simulate hot path against the scalar
               reference oracle; verify identical results; report speedups.
-``cache``     Inspect or clear the persistent cross-process compile memo
-              (``REPRO_DISK_CACHE=1``; see docs/PERFORMANCE.md).
 ``shard``     Shard a model across a multi-chip system; print per-chip
               placement, the link schedule, and the pipeline estimate.
 ``serve``     Multi-tenant serving simulation (spatial / temporal /
@@ -162,39 +160,6 @@ def cmd_reproduce(args) -> None:
     if not report.ok:
         raise SystemExit(
             f"reproduce FAILED: {', '.join(report.failures)}")
-
-
-def cmd_cache(args) -> None:
-    from .perf import SCHEMA_VERSION, DiskCompileCache, disk_cache_enabled
-
-    store = DiskCompileCache(args.dir)
-    if args.action == "clear":
-        removed = sum(store.entries().values())
-        store.clear()
-        print(f"cleared {removed} entries from {store.root}")
-        return
-    entries = store.entries()
-    doc = {
-        "root": store.root,
-        "schema_version": SCHEMA_VERSION,
-        "enabled": disk_cache_enabled(),
-        "entries": entries,
-        "total_entries": sum(entries.values()),
-        "size_bytes": store.size_bytes(),
-    }
-    if args.format == "json":
-        print(json.dumps(doc, indent=1))
-        return
-    state = "on" if doc["enabled"] else "off; set REPRO_DISK_CACHE=1"
-    print(f"disk compile memo at {store.root} "
-          f"(schema v{SCHEMA_VERSION}, {state})")
-    if not entries:
-        print("  empty")
-        return
-    for kind in sorted(entries):
-        print(f"  {kind:<10} {entries[kind]:>8} entries")
-    print(f"  {'total':<10} {doc['total_entries']:>8} entries  "
-          f"{doc['size_bytes'] / 1e6:.2f} MB")
 
 
 def cmd_power(args) -> None:
@@ -1372,29 +1337,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the JSON to PATH (e.g. BENCH_PR4.json)")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(fn=cmd_bench)
-
-    p = sub.add_parser(
-        "cache",
-        help="inspect or clear the persistent compile memo",
-        description="The cross-process disk extension of the compile "
-                    "cache (opt-in via REPRO_DISK_CACHE=1, located by "
-                    "REPRO_COMPILE_CACHE_DIR) persists per-op profiles, "
-                    "duplication searches, and segmentations so repeated "
-                    "runs — CLI invocations, CI jobs, fleet workers — "
-                    "warm-start each other bit-identically.  `stats` "
-                    "reports entry counts and size for the current "
-                    "schema version; `clear` deletes its entries.")
-    csub = p.add_subparsers(dest="action", required=True)
-    for action, text in (("stats", "entry counts and size of the store"),
-                         ("clear", "delete this schema version's entries")):
-        c = csub.add_parser(action, help=text)
-        c.add_argument("--dir", default=None,
-                       help="store root (default: $REPRO_COMPILE_CACHE_DIR "
-                            "or ~/.cache/repro-compile)")
-        if action == "stats":
-            c.add_argument("--format", choices=("table", "json"),
-                           default="table")
-        c.set_defaults(fn=cmd_cache)
 
     p = sub.add_parser(
         "power",

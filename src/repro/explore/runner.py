@@ -25,7 +25,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
-from ..perf import CompileCache, default_compile_cache
+from ..perf import CompileCache
+from ..perf import cache as perf_cache
+from ..perf.kernels import fold
 from ..sched import CIMMLC, no_optimization
 from ..sim.performance import PerformanceReport
 from .space import SweepPoint, SweepSpace
@@ -125,17 +127,17 @@ def summarize_multichip(report: "MultiChipReport",
                                 if report.stages else ()),
         "pipelined": True,
         "total_cycles": report.total_cycles,
-        "compute_cycles": sum(r.compute_cycles for r in report.stages),
-        "reconfiguration_cycles": sum(r.reconfiguration_cycles
-                                      for r in report.stages),
+        "compute_cycles": fold(r.compute_cycles for r in report.stages),
+        "reconfiguration_cycles": fold(r.reconfiguration_cycles
+                                       for r in report.stages),
         "noc_cycles": noc_cycles,
         "steady_state_interval": report.steady_state_interval,
         "segment_intervals": list(report.stage_intervals),
-        "weight_load_cycles": sum(r.weight_load_cycles
-                                  for r in report.stages),
+        "weight_load_cycles": fold(r.weight_load_cycles
+                                   for r in report.stages),
         "weight_write_energy": report.weight_write_energy,
         "peak_power": report.peak_power,
-        "avg_power": sum(r.power.avg_power for r in report.stages),
+        "avg_power": fold(r.power.avg_power for r in report.stages),
         "peak_active_crossbars": sum(r.power.peak_active_crossbars
                                      for r in report.stages),
         "energy_total": report.total_energy,
@@ -143,11 +145,11 @@ def summarize_multichip(report: "MultiChipReport",
         "area_crossbars": crossbars_used,
         "cores_used": cores_used,
         "energy": {
-            "crossbar": sum(r.power.energy_crossbar for r in report.stages),
-            "converter": sum(r.power.energy_converter for r in report.stages),
-            "movement": sum(r.power.energy_movement for r in report.stages),
-            "reconfiguration": sum(r.power.energy_reconfiguration
-                                   for r in report.stages),
+            "crossbar": fold(r.power.energy_crossbar for r in report.stages),
+            "converter": fold(r.power.energy_converter for r in report.stages),
+            "movement": fold(r.power.energy_movement for r in report.stages),
+            "reconfiguration": fold(r.power.energy_reconfiguration
+                                    for r in report.stages),
             "link": report.link_energy,
         },
         "segments": [],
@@ -188,16 +190,6 @@ def _peak_cores(schedule) -> int:
                 for i in range(len(schedule.segments))), default=0)
 
 
-#: Per-process compile cache shared by every point this process
-#: evaluates (sweep workers and serial runs alike).  Content-addressed,
-#: so sharing across unrelated sweeps is safe.  With
-#: ``REPRO_DISK_CACHE=1`` it is disk-backed
-#: (:class:`~repro.perf.DiskCompileCache`), so every process — sweep
-#: workers included, which inherit the environment — shares one
-#: persistent store.
-_PROCESS_CACHE: Optional[CompileCache] = default_compile_cache()
-
-
 def evaluate_point(point: SweepPoint,
                    cache: Optional[CompileCache] = None) -> Dict:
     """Compile one point and summarize its performance report.
@@ -206,12 +198,14 @@ def evaluate_point(point: SweepPoint,
     :func:`repro.scale.shard` instead of a single-chip compilation.
     Module-level so :class:`ProcessPoolExecutor` can pickle it.
 
-    ``cache`` defaults to the process-wide :class:`CompileCache`, so
-    per-op profiles and duplication searches are shared across every
-    point (and series) that agrees on the quantities they depend on.
+    ``cache`` defaults to the process-wide
+    :data:`~repro.perf.cache.PROCESS_CACHE`, so per-op profiles and
+    duplication searches are shared across every point (and series),
+    in sweep workers and serial runs alike, that agrees on the
+    quantities they depend on.
     """
     if cache is None:
-        cache = _PROCESS_CACHE
+        cache = perf_cache.PROCESS_CACHE
     if point.chips < 1:
         from ..errors import ArchitectureError
 
@@ -222,9 +216,9 @@ def evaluate_point(point: SweepPoint,
 
         plan = shard(point.graph, point.system(), options=point.options,
                      optimize=point.options is not None, cache=cache)
-        noc = sum(d.profile.mov_cycles
-                  for sched in plan.schedules
-                  for d in sched.decisions.values())
+        noc = fold(d.profile.mov_cycles
+                   for sched in plan.schedules
+                   for d in sched.decisions.values())
         return summarize_multichip(
             plan.report, noc_cycles=noc,
             crossbars_used=sum(_peak_crossbars(s) for s in plan.schedules),
@@ -235,9 +229,9 @@ def evaluate_point(point: SweepPoint,
         result = CIMMLC(point.arch, point.options,
                         cache=cache).compile(point.graph)
     sched = result.schedule
-    noc = sum(d.profile.mov_cycles
-              for i in range(len(sched.segments))
-              for d in sched.segment_decisions(i))
+    noc = fold(d.profile.mov_cycles
+               for i in range(len(sched.segments))
+               for d in sched.segment_decisions(i))
     return summarize_report(result.report, noc_cycles=noc,
                             crossbars_used=_peak_crossbars(sched),
                             cores_used=_peak_cores(sched))

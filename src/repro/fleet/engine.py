@@ -38,6 +38,7 @@ import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ScheduleError
+from ..perf.kernels import fold
 from ..serve.engine import (
     _ARRIVAL,
     _COMPLETE,
@@ -510,7 +511,7 @@ class FleetEngine:
                 p50=percentile(lats, 50),
                 p95=percentile(lats, 95),
                 p99=percentile(lats, 99),
-                mean_latency=sum(lats) / completed if completed else 0.0,
+                mean_latency=fold(lats) / completed if completed else 0.0,
                 max_latency=max(lats) if lats else 0.0,
                 slo_cycles=slo,
                 slo_attainment=(sum(1 for lat in lats if lat <= slo)
@@ -518,13 +519,13 @@ class FleetEngine:
                 batches=len(sizes),
                 mean_batch=sum(sizes) / len(sizes) if sizes else 0.0,
                 latencies=tuple(lats),
-                energy=sum(core.tenant_energy[name] for core in cores),
+                energy=fold(core.tenant_energy[name] for core in cores),
             ))
         replica_stats = []
         replica_energy = 0.0
         for core in cores:
-            busy = sum(ex.busy_cycles for ex in core.executors)
-            energy = sum(ex.energy for ex in core.executors)
+            busy = fold(ex.busy_cycles for ex in core.executors)
+            energy = fold(ex.energy for ex in core.executors)
             replica_energy += energy
             replica_stats.append(ReplicaStats(
                 rid=core.rid,
@@ -532,8 +533,8 @@ class FleetEngine:
                 arch=core.plan.arch_name,
                 completed=sum(len(v) for v in core.finished.values()),
                 busy_cycles=busy,
-                switch_cycles=sum(ex.switch_cycles
-                                  for ex in core.executors),
+                switch_cycles=fold(ex.switch_cycles
+                                   for ex in core.executors),
                 switches=sum(ex.switches for ex in core.executors),
                 # Mean over the replica's executors (spatial regions run
                 # concurrently, so raw busy cycles can exceed the horizon).

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..arch import ChipLink, CIMArchitecture
 from ..errors import ScheduleError
-from ..perf import CompileCache, default_compile_cache
+from ..perf import CompileCache
 from ..sched import CompilerOptions
 from ..serve import ServingPlan, TenantSpec, make_plan
 
@@ -138,7 +138,7 @@ def build_fleet(arch: CIMArchitecture, specs: Sequence[TenantSpec],
     """
     if replicas < 1:
         raise ScheduleError(f"fleet size must be >= 1, got {replicas}")
-    cache = cache or default_compile_cache()
+    cache = cache or CompileCache()
     plans: List[ServingPlan] = [
         make_plan(mode, arch, specs, options, cache=cache, **plan_kwargs)
         for _ in range(replicas)

@@ -28,6 +28,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from ..perf.kernels import fold
 from ..serve.report import TenantStats, percentile
 
 
@@ -198,7 +199,7 @@ class FleetReport:
         """Mean replica occupancy over the horizon (all replicas)."""
         if not self.replicas:
             return 0.0
-        return sum(r.utilization for r in self.replicas) / len(self.replicas)
+        return fold(r.utilization for r in self.replicas) / len(self.replicas)
 
     @property
     def deployments(self) -> int:

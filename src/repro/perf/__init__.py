@@ -1,17 +1,15 @@
 """Performance layer: compile cache, numpy kernels, bench harness.
 
-The hot compile→simulate path is accelerated by four pieces (see
+The hot compile→simulate path is accelerated by three pieces (see
 ``docs/PERFORMANCE.md``):
 
 * :mod:`repro.perf.cache` — :class:`CompileCache`, the in-process
   content-addressed memo for per-op profiles, duplication searches, and
   graph segmentations, shared across sweep points / serve tenants /
-  shard stages;
+  shard stages, and ``PROCESS_CACHE``, the one process-wide instance
+  used when a caller passes no cache;
 * :mod:`repro.perf.kernels` — vectorized (numpy) forms of the
   per-operator scheduler and simulator loops;
-* :mod:`repro.perf.diskcache` — :class:`DiskCompileCache`, the
-  versioned cross-process on-disk extension of the compile memo
-  (opt-in via ``REPRO_DISK_CACHE=1``);
 * :mod:`repro.perf.incremental` — :class:`IncrementalCompiler`, one
   compiler over a shared cache for one-axis architecture families.
 
@@ -21,22 +19,10 @@ and refuses to report when the two disagree.
 """
 
 from .cache import CompileCache
-from .diskcache import (
-    SCHEMA_VERSION,
-    DiskCompileCache,
-    default_compile_cache,
-    default_disk_cache_dir,
-    disk_cache_enabled,
-)
 
 __all__ = [
     "CompileCache",
-    "DiskCompileCache",
     "IncrementalCompiler",
-    "SCHEMA_VERSION",
-    "default_compile_cache",
-    "default_disk_cache_dir",
-    "disk_cache_enabled",
 ]
 
 

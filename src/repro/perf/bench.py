@@ -63,20 +63,15 @@ class BenchResult:
 def clear_process_caches() -> None:
     """Reset every implicit process memo so a timed run starts cold.
 
-    Covers the process-wide explore compile cache, the implicit
-    duplication-search and placement memos, and the memoized NoC cost
-    matrices/aggregates; explicit caches owned by callers are untouched.
-    Note a disk-backed process cache (``REPRO_DISK_CACHE=1``) is cleared
-    *including its on-disk store* — benchmarking against a warm disk
-    memo would be meaningless.
+    Covers the process-wide compile cache, the placement memo, and the
+    memoized NoC cost matrices/aggregates; explicit caches owned by
+    callers are untouched.
     """
     from ..arch.noc import _average_cost, _max_cost, hop_cost_array
-    from ..explore import runner as runner_mod
-    from ..sched import cg as cg_mod
     from ..sched import placement as placement_mod
+    from . import cache as perf_cache
 
-    runner_mod._PROCESS_CACHE.clear()
-    cg_mod._IMPLICIT_SEARCH_CACHE.clear()
+    perf_cache.PROCESS_CACHE.clear()
     placement_mod._GREEDY_MEMO.clear()
     _average_cost.cache_clear()
     _max_cost.cache_clear()

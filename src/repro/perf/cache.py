@@ -149,3 +149,14 @@ class CompileCache:
         return (f"CompileCache(profiles={s['profiles_stored']}, "
                 f"dups={s['dups_stored']}, "
                 f"hits={s['profile_hits'] + s['dup_hits']})")
+
+
+#: The process-wide compile cache.  The duplication searches fall back
+#: on it when their caller passes no ``cache=``, and the explore runner
+#: evaluates every sweep point through it.  Keys are content, so one
+#: instance serves unrelated callers value-exactly.  Callers read it
+#: through this module at call time: the reference seam
+#: (:func:`repro.perf.reference.installed`) turns it off by binding
+#: ``None`` here, and :func:`repro.perf.bench.clear_process_caches`
+#: empties it.
+PROCESS_CACHE: Optional[CompileCache] = CompileCache()

@@ -23,7 +23,7 @@ equivalence on every model/preset pair and on perturbed inputs.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +42,22 @@ def seq_sum(values: np.ndarray) -> float:
     if len(values) == 0:
         return 0.0
     return float(np.add.accumulate(values)[-1])
+
+
+def fold(values: Iterable[float]) -> float:
+    """Left-to-right sum of ``values`` as an explicit loop.
+
+    The scalar twin of :func:`seq_sum` for Python numbers, and the
+    order ``sum()`` uses through Python 3.11.  From 3.12 ``sum()``
+    compensates float rounding, so production sums whose terms can be
+    floats go through here to give the same bits on every Python.
+    Integer terms stay exact and an empty input gives ``0``, as with
+    ``sum()``.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 # ---------------------------------------------------------------------------

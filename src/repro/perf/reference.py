@@ -30,7 +30,6 @@ from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
 from ..arch import CIMArchitecture
 from ..arch.noc import NocSpec
 from ..errors import CapacityError, ScheduleError
-from ..explore import runner
 from ..scale import partition as scale_partition
 from ..sched import cg, placement
 from ..sched.compiler import CIMMLC
@@ -38,6 +37,7 @@ from ..sched.costs import OpProfile
 from ..sched.schedule import OpDecision, Schedule
 from ..serve import partition
 from ..sim import performance
+from . import cache as perf_cache
 from .cache import CompileCache
 from .incremental import IncrementalCompiler
 
@@ -448,10 +448,10 @@ def _no_cache() -> None:
 
 #: ``(owner, attribute, oracle value)`` for every production attribute
 #: :func:`installed` replaces.  The oracle forms come first; the last
-#: three entries switch the implicit memos off (``None`` search memo
-#: and explore process cache, no planner-owned cache).  The greedy
-#: placement memo and the NoC ``lru_cache`` s sit behind production
-#: forms replaced above, so they see no traffic inside the seam.
+#: two entries switch the implicit memos off (``None`` process compile
+#: cache, no planner-owned cache).  The greedy placement memo and the
+#: NoC ``lru_cache`` s sit behind production forms replaced above, so
+#: they see no traffic inside the seam.
 SWAPS = (
     (NocSpec, "average_cost", average_cost),
     (NocSpec, "max_cost", max_cost),
@@ -466,8 +466,7 @@ SWAPS = (
     (placement, "place_greedy", place_greedy),
     (scale_partition, "_interval_matrix", interval_matrix),
     (IncrementalCompiler, "compile", _compile_uncached),
-    (cg, "_IMPLICIT_SEARCH_CACHE", None),
-    (runner, "_PROCESS_CACHE", None),
+    (perf_cache, "PROCESS_CACHE", None),
     (partition, "_implicit_cache", _no_cache),
 )
 

@@ -25,7 +25,6 @@ from .goldens import (
 )
 from .harness import (
     check_registry,
-    isolated_disk_cache,
     render_document,
     run_profile,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "document_titles",
     "entry_names",
     "find",
-    "isolated_disk_cache",
     "load_golden",
     "make_golden",
     "registered_titles",

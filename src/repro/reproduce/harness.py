@@ -11,13 +11,8 @@ registry.REGISTRY` entry under one of two profiles —
   an empty temporary directory (emptiness asserted before, misses
   asserted after) and BENCH runs its full workloads.
 
-Both profiles isolate the persistent compile memo when
-``REPRO_DISK_CACHE=1`` is set: the process cache is re-rooted into a
-temporary directory for the duration of the run
-(:func:`isolated_disk_cache`), because BENCH's cold-start protocol
-*clears* the process cache — without isolation that would delete the
-user's on-disk memo.  ``tests/test_reproduce.py`` regression-tests
-this.
+Both profiles start from empty in-process memos
+(:func:`~repro.perf.bench.clear_process_caches`).
 
 Fresh results are digested and compared against the committed goldens
 (:mod:`repro.reproduce.goldens`); freshly rendered document sections
@@ -35,7 +30,6 @@ from typing import Dict, List, Optional, Sequence
 
 from .. import __version__
 from ..explore import SweepRunner, default_cache_dir
-from ..perf.diskcache import ENV_DIR, disk_cache_enabled
 from . import goldens as goldens_mod
 from .digest import result_digest
 from .registry import (
@@ -50,40 +44,6 @@ from .report import PROFILE_BUDGETS_S, EntryReport, ReproduceReport
 
 #: Where the rendered document lives, relative to the repo root.
 EXPERIMENTS_MD = "EXPERIMENTS.md"
-
-
-@contextlib.contextmanager
-def isolated_disk_cache():
-    """Re-root the persistent compile memo into a temp dir for the run.
-
-    No-op unless ``REPRO_DISK_CACHE=1``.  The explore process cache is
-    rebound to a fresh :func:`~repro.perf.diskcache.
-    default_compile_cache` under the redirected ``REPRO_COMPILE_CACHE_DIR``
-    — the module global was constructed at import time against the
-    user's directory, so flipping the environment alone would not
-    protect it from BENCH's ``clear()`` (which deletes the on-disk
-    store).  Environment and cache bindings are restored on exit;
-    the temp store is discarded.
-    """
-    if not disk_cache_enabled():
-        yield
-        return
-    from ..perf.diskcache import default_compile_cache
-    from ..explore import runner as runner_mod
-
-    saved_env = os.environ.get(ENV_DIR)
-    saved_cache = runner_mod._PROCESS_CACHE
-    with tempfile.TemporaryDirectory(prefix="repro-reproduce-memo-") as tmp:
-        os.environ[ENV_DIR] = tmp
-        runner_mod._PROCESS_CACHE = default_compile_cache()
-        try:
-            yield
-        finally:
-            if saved_env is None:
-                os.environ.pop(ENV_DIR, None)
-            else:
-                os.environ[ENV_DIR] = saved_env
-            runner_mod._PROCESS_CACHE = saved_cache
 
 
 def _section_map(markdown: str) -> Dict[str, str]:
@@ -152,7 +112,6 @@ def run_profile(profile: str = "quick",
                              budget_s=PROFILE_BUDGETS_S.get(profile, 0.0))
     t_run = time.perf_counter()
     with contextlib.ExitStack() as stack:
-        stack.enter_context(isolated_disk_cache())
         if profile == "full":
             explore_dir = stack.enter_context(
                 tempfile.TemporaryDirectory(prefix="repro-reproduce-cold-"))

@@ -31,6 +31,7 @@ from ..arch import CIMArchitecture
 from ..errors import CapacityError
 from ..graph import Graph
 from ..perf import CompileCache
+from ..perf import cache as perf_cache
 from ..perf.kernels import (
     BottleneckSearch,
     DupLatencyColumns,
@@ -48,20 +49,16 @@ from .schedule import OpDecision, Schedule
 # ---------------------------------------------------------------------------
 
 
-#: Process-wide memo backing the duplication searches when the caller
-#: supplies no explicit cache.  The searches are pure functions of
-#: ``(profile tuple, budget)`` (frozen dataclasses carrying every
-#: quantity they read), so content-addressed sharing across otherwise
-#: uncached compilations is value-exact.  ``repro bench`` clears it
-#: between runs; an explicit ``cache=`` argument always wins.
-_IMPLICIT_SEARCH_CACHE: Optional[CompileCache] = CompileCache()
-
-
 def _search_cache(cache: Optional["CompileCache"]
                   ) -> Optional["CompileCache"]:
     """The cache a duplication search should use: the caller's, else
-    the process-wide implicit memo."""
-    return _IMPLICIT_SEARCH_CACHE if cache is None else cache
+    the process-wide :data:`repro.perf.cache.PROCESS_CACHE`.
+
+    The searches are pure functions of ``(profile tuple, budget)``
+    (frozen dataclasses carrying every quantity they read), so sharing
+    one memo across otherwise uncached compilations is value-exact.
+    """
+    return perf_cache.PROCESS_CACHE if cache is None else cache
 
 
 #: Budgets up to this size use the exact dynamic program (the paper's
@@ -154,7 +151,7 @@ def duplicate_min_total(profiles: Sequence[OpProfile], budget: int,
     dataclasses carrying every quantity the search reads, so equal keys
     guarantee equal answers across segments, series, and sweep points.
     Without an explicit cache the search falls back to the process-wide
-    implicit search memo.
+    compile cache.
     """
     cache = _search_cache(cache)
     key = None
@@ -339,8 +336,8 @@ def duplicate_min_bottleneck(profiles: Sequence[OpProfile],
     first_feasible`); the 60 bisection steps then decide each midpoint by
     comparing it to ``t_star``.  The whole result is memoized on
     ``(profile tuple, budget)`` in the attached
-    :class:`~repro.perf.CompileCache` (the implicit process-wide memo
-    when the caller passes none).
+    :class:`~repro.perf.CompileCache` (the process-wide one when the
+    caller passes none).
     """
     cache = _search_cache(cache)
     key = None

@@ -28,7 +28,7 @@ from ..arch import CIMArchitecture
 from ..errors import CapacityError, ScheduleError
 from ..graph import Graph
 from ..models import get_model
-from ..perf import CompileCache, default_compile_cache
+from ..perf import CompileCache
 from ..sched import CIMMLC, CompilerOptions
 from ..sched.costs import CostModel
 from ..sched.placement import annotate_placement
@@ -41,9 +41,8 @@ MODES = ("spatial", "temporal")
 
 def _implicit_cache() -> Optional[CompileCache]:
     """A planner-owned :class:`~repro.perf.CompileCache`, used when the
-    caller passes no ``cache=``.  Honours the ``REPRO_DISK_CACHE``
-    opt-in via :func:`~repro.perf.default_compile_cache`."""
-    return default_compile_cache()
+    caller passes no ``cache=``."""
+    return CompileCache()
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..perf.kernels import fold
+
 
 def percentile(latencies: Sequence[float], q: float) -> float:
     """Nearest-rank percentile (deterministic, no interpolation)."""
@@ -181,18 +183,18 @@ class ServeReport:
         """Mean executor occupancy (a spatial plan averages regions)."""
         if not self.executors:
             return 0.0
-        return sum(e.utilization for e in self.executors) / \
+        return fold(e.utilization for e in self.executors) / \
             len(self.executors)
 
     @property
     def switch_cycles(self) -> float:
         """Total cycles burnt reprogramming weights on tenant switches."""
-        return sum(e.switch_cycles for e in self.executors)
+        return fold(e.switch_cycles for e in self.executors)
 
     @property
     def total_energy(self) -> float:
         """Energy the whole scenario consumed (all executors summed)."""
-        return sum(e.energy for e in self.executors)
+        return fold(e.energy for e in self.executors)
 
     @property
     def avg_power(self) -> float:
@@ -209,7 +211,7 @@ class ServeReport:
         if not self.executors:
             return 0.0
         peaks = [e.peak_power for e in self.executors]
-        return max(peaks) if self.mode == "temporal" else sum(peaks)
+        return max(peaks) if self.mode == "temporal" else fold(peaks)
 
     # -- export --------------------------------------------------------
 
@@ -323,7 +325,7 @@ def build_report(plan, policy_label: str,
             p50=percentile(lats, 50),
             p95=percentile(lats, 95),
             p99=percentile(lats, 99),
-            mean_latency=sum(lats) / completed if completed else 0.0,
+            mean_latency=fold(lats) / completed if completed else 0.0,
             max_latency=max(lats) if lats else 0.0,
             slo_cycles=slo,
             slo_attainment=(sum(1 for lat in lats if lat <= slo)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from ..arch import CIMArchitecture
-from ..perf.kernels import segment_cycles
+from ..perf.kernels import fold, segment_cycles
 from ..sched.cg import pipelined_latency
 from ..sched.costs import reconfiguration_cycles
 from ..sched.schedule import OpDecision, Schedule
@@ -204,9 +204,9 @@ class PerformanceSimulator:
         if recorder is not None:
             from ..trace.capture import emit_sim, sim_model_from_report
 
-            noc = sum(d.profile.mov_cycles
-                      for i in range(len(schedule.segments))
-                      for d in schedule.segment_decisions(i))
+            noc = fold(d.profile.mov_cycles
+                       for i in range(len(schedule.segments))
+                       for d in schedule.segment_decisions(i))
             emit_sim(sim_model_from_report(report, schedule), recorder)
             recorder.configure(
                 kind="sim", pipelined=report.pipelined,
@@ -333,9 +333,9 @@ class MultiChipReport:
         """One inference end to end: every stage's latency plus the head
         latency of each consecutive-stage link on the critical path (skip
         transfers overlap the chain and never dominate a shortest path)."""
-        compute = sum(r.total_cycles for r in self.stages)
-        chain = sum(t.cycles for t in self.transfers
-                    if t.dst_stage == t.src_stage + 1)
+        compute = fold(r.total_cycles for r in self.stages)
+        chain = fold(t.cycles for t in self.transfers
+                     if t.dst_stage == t.src_stage + 1)
         return compute + chain
 
     @property
@@ -367,7 +367,7 @@ class MultiChipReport:
     @property
     def peak_power(self) -> float:
         """Chips compute concurrently, so peak power sums over stages."""
-        return sum(r.power.peak_power for r in self.stages)
+        return fold(r.power.peak_power for r in self.stages)
 
     @property
     def chip_peak_powers(self) -> Tuple[float, ...]:
@@ -377,13 +377,13 @@ class MultiChipReport:
     @property
     def link_energy(self) -> float:
         """Energy of all inter-chip activation transfers per inference."""
-        return sum(t.energy for t in self.transfers)
+        return fold(t.energy for t in self.transfers)
 
     @property
     def total_energy(self) -> float:
         """Energy of one inference across the whole pipeline: every
         stage's on-die energy plus every inter-chip transfer."""
-        return sum(r.power.total_energy for r in self.stages) \
+        return fold(r.power.total_energy for r in self.stages) \
             + self.link_energy
 
     @property
@@ -396,7 +396,7 @@ class MultiChipReport:
     def weight_write_energy(self) -> float:
         """Energy to program every chip's resident weights from scratch
         (the multi-chip deployment cost; stages sum)."""
-        return sum(r.weight_write_energy for r in self.stages)
+        return fold(r.weight_write_energy for r in self.stages)
 
     def summary(self) -> str:
         """Readable per-stage + per-link block."""

@@ -340,36 +340,3 @@ class TestTrace:
         assert doc["stats"]["total_points"] == 4
         assert doc["stats"]["full_evaluations"] < 4
         assert doc["frontier"]
-
-
-class TestCache:
-    def _populate(self, root):
-        from repro.arch import functional_testbed
-        from repro.models import mlp
-        from repro.perf import DiskCompileCache
-        from repro.sched import CIMMLC
-
-        CIMMLC(functional_testbed(),
-               cache=DiskCompileCache(root)).compile(mlp())
-
-    def test_stats_empty_store(self, tmp_path, capsys):
-        main(["cache", "stats", "--dir", str(tmp_path)])
-        out = capsys.readouterr().out
-        assert str(tmp_path) in out and "empty" in out
-
-    def test_stats_and_clear_roundtrip(self, tmp_path, capsys):
-        self._populate(str(tmp_path))
-        main(["cache", "stats", "--dir", str(tmp_path), "--format",
-              "json"])
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["total_entries"] > 0 and doc["size_bytes"] > 0
-        assert set(doc["entries"]) >= {"profiles", "dups", "segments"}
-        main(["cache", "clear", "--dir", str(tmp_path)])
-        assert "cleared" in capsys.readouterr().out
-        main(["cache", "stats", "--dir", str(tmp_path), "--format",
-              "json"])
-        assert json.loads(capsys.readouterr().out)["total_entries"] == 0
-
-    def test_requires_action(self):
-        with pytest.raises(SystemExit):
-            main(["cache"])
