@@ -35,6 +35,7 @@ and knobs ⇒ bit-identical :class:`~repro.fleet.report.FleetReport`.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ScheduleError
@@ -48,7 +49,7 @@ from ..serve.engine import (
     ReplicaCore,
     TimeoutBatch,
 )
-from ..serve.report import TenantStats, percentile
+from ..serve.report import TenantStats, sorted_percentile
 from ..serve.workload import Request
 from .admission import AdmissionControl
 from .autoscaler import Autoscaler
@@ -172,15 +173,36 @@ class FleetEngine:
             deploy_energy += energy
             deployments[rid] += 1
 
+        for req in trace:
+            if req.tenant not in slo_cycles:
+                raise ScheduleError(
+                    f"trace request for unknown tenant {req.tenant!r}")
         front_rejected: Dict[str, int] = {name: 0 for name in slo_cycles}
         reasons: Dict[str, int] = {}
         tenant_outstanding: Dict[str, int] = {n: 0 for n in slo_cycles}
-        backlog_est: Dict[Tuple[int, str], float] = {}
+        # Per-request backlog estimate: the tenant's steady-state
+        # interval on the replica (every replica serves every tenant).
+        est: Dict[Tuple[int, str], float] = {
+            (rid, name): core.interval(name)
+            for rid, core in enumerate(cores) for name in slo_cycles}
         scale_events: List[Tuple[float, str, int]] = []
 
-        loop = EventLoop()
-        for req in trace:
-            loop.push(req.arrival, _ROUTE, req)
+        # Every replica serves every tenant (FleetPlan's invariant), so
+        # the replicas a request may go to are the active ones whose
+        # deployment has finished.  The list is rebuilt only when
+        # ``active`` changes or ``now`` reaches the next ``ready_at``.
+        capable: List[int] = []
+        next_ready = math.inf
+
+        def refresh(now: float) -> None:
+            nonlocal capable, next_ready
+            capable = [rid for rid in active if ready_at[rid] <= now]
+            next_ready = min((ready_at[rid] for rid in active
+                              if ready_at[rid] > now), default=math.inf)
+
+        refresh(-math.inf)
+
+        loop = EventLoop(trace, _ROUTE)
         if autoscaler is not None and trace:
             last = trace[-1].arrival
             k = 1
@@ -206,32 +228,28 @@ class FleetEngine:
                 loop.push(fault.chip_death_time, _FAIL,
                           fault.chip_death_rid)
 
-        def est(rid: int, tenant: str) -> float:
-            key = (rid, tenant)
-            if key not in backlog_est:
-                backlog_est[key] = cores[rid].interval(tenant)
-            return backlog_est[key]
-
+        screen = self.admission.screen
+        route = router.route
         while loop:
             now, kind, payload = loop.pop()
-            horizon = max(horizon, now)
+            if now > horizon:
+                horizon = now
             if kind == _ROUTE:
                 req = payload
-                capable = [rid for rid in active
-                           if ready_at[rid] <= now
-                           and cores[rid].serves(req.tenant)]
-                candidates, reason = self.admission.screen(
+                if now >= next_ready:
+                    refresh(now)
+                candidates, reason = screen(
                     req, capable, cores, slo_cycles, hop_rt,
                     tenant_outstanding, tenant_share)
                 if reason is not None:
                     front_rejected[req.tenant] += 1
                     reasons[reason] = reasons.get(reason, 0) + 1
                     continue
-                rid = router.route(req, now, cores, candidates)
+                rid = route(req, now, cores, candidates)
                 core = cores[rid]
                 core.note_pending(req.tenant)
                 core.outstanding += 1
-                core.backlog_cycles += est(rid, req.tenant)
+                core.backlog_cycles += est[rid, req.tenant]
                 tenant_outstanding[req.tenant] += 1
                 link_energy += req_energy
                 loop.push(now + hop_in, _ARRIVAL, (rid, req))
@@ -244,7 +262,7 @@ class FleetEngine:
                     # (the request re-pays the inbound hop).
                     core.pending[req.tenant] -= 1
                     core.outstanding -= 1
-                    core.backlog_cycles -= est(rid, req.tenant)
+                    core.backlog_cycles -= est[rid, req.tenant]
                     tenant_outstanding[req.tenant] -= 1
                     rerouted += 1
                     loop.push(now, _ROUTE, req)
@@ -253,7 +271,7 @@ class FleetEngine:
                     # admission let it through (the front end's load
                     # signals are estimates, not reservations).
                     core.outstanding -= 1
-                    core.backlog_cycles -= est(rid, req.tenant)
+                    core.backlog_cycles -= est[rid, req.tenant]
                     tenant_outstanding[req.tenant] -= 1
                     reasons["replica_queue"] = \
                         reasons.get("replica_queue", 0) + 1
@@ -278,7 +296,7 @@ class FleetEngine:
                     # arrived and were never answered).
                     for req in batch:
                         core.outstanding -= 1
-                        core.backlog_cycles -= est(rid, req.tenant)
+                        core.backlog_cycles -= est[rid, req.tenant]
                         tenant_outstanding[req.tenant] -= 1
                         front_rejected[req.tenant] += 1
                         lost += 1
@@ -288,10 +306,11 @@ class FleetEngine:
                 core.on_complete(ex_name, batch, now, loop,
                                  latency_at=now + hop_out,
                                  dispatched=dispatched)
-                horizon = max(horizon, now + hop_out)
+                if now + hop_out > horizon:
+                    horizon = now + hop_out
                 for req in batch:
                     core.outstanding -= 1
-                    core.backlog_cycles -= est(rid, req.tenant)
+                    core.backlog_cycles -= est[rid, req.tenant]
                     tenant_outstanding[req.tenant] -= 1
                     link_energy += resp_energy
                     if recorder is not None:
@@ -313,6 +332,7 @@ class FleetEngine:
                         active.append(rid)
                         active.sort()
                         ready_at[rid] = now + cycles
+                        refresh(now)
                         deploy_energy += energy
                         deployments[rid] += 1
                         scale_events.append((now, "up", rid))
@@ -326,6 +346,7 @@ class FleetEngine:
                                           rid=rid, energy=energy)
                 elif action == "down":
                     rid = active.pop()   # highest id drains
+                    refresh(now)
                     scale_events.append((now, "down", rid))
             elif kind == _READY:
                 # An executor finished a fault-injected stall: re-check
@@ -373,6 +394,7 @@ class FleetEngine:
                 spare = None
                 if was_active:
                     active.remove(rid)
+                    refresh(now)
                     scale_events.append((now, "fail", rid))
                     core = cores[rid]
                     # Flush undispatched queues back through the front
@@ -380,7 +402,7 @@ class FleetEngine:
                     for tenant, q in core.queues.items():
                         for req in q:
                             core.outstanding -= 1
-                            core.backlog_cycles -= est(rid, tenant)
+                            core.backlog_cycles -= est[rid, tenant]
                             tenant_outstanding[tenant] -= 1
                             rerouted += 1
                             rerouted_hops.append(
@@ -395,6 +417,7 @@ class FleetEngine:
                         active.append(spare)
                         active.sort()
                         ready_at[spare] = now + cycles
+                        refresh(now)
                         deploy_energy += energy
                         deployments[spare] += 1
                         scale_events.append((now, "up", spare))
@@ -494,6 +517,7 @@ class FleetEngine:
             name = t.spec.name
             lats = [f.latency for core in cores
                     for f in core.finished[name]]
+            ordered = sorted(lats)
             completed = len(lats)
             rejected = front_rejected[name] + sum(
                 core.rejected[name] for core in cores)
@@ -508,9 +532,9 @@ class FleetEngine:
                 rejected=rejected,
                 throughput_per_mcycle=(completed * 1e6 / horizon
                                        if horizon > 0 else 0.0),
-                p50=percentile(lats, 50),
-                p95=percentile(lats, 95),
-                p99=percentile(lats, 99),
+                p50=sorted_percentile(ordered, 50),
+                p95=sorted_percentile(ordered, 95),
+                p99=sorted_percentile(ordered, 99),
                 mean_latency=fold(lats) / completed if completed else 0.0,
                 max_latency=max(lats) if lats else 0.0,
                 slo_cycles=slo,

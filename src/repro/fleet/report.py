@@ -26,10 +26,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 from ..perf.kernels import fold
-from ..serve.report import TenantStats, percentile
+from ..serve.report import TenantStats, sorted_percentile
 
 
 @dataclass(frozen=True)
@@ -120,23 +121,25 @@ class FleetReport:
             peak = max(peak, running)
         return peak
 
-    def _all_latencies(self):
-        return [lat for t in self.tenants for lat in t.latencies]
+    @cached_property
+    def _sorted_latencies(self) -> List[float]:
+        """Every completed request's latency, ascending (sorted once)."""
+        return sorted(lat for t in self.tenants for lat in t.latencies)
 
     @property
     def p50(self) -> float:
         """Median front-end latency over every completed request."""
-        return percentile(self._all_latencies(), 50)
+        return sorted_percentile(self._sorted_latencies, 50)
 
     @property
     def p95(self) -> float:
         """95th-percentile front-end latency."""
-        return percentile(self._all_latencies(), 95)
+        return sorted_percentile(self._sorted_latencies, 95)
 
     @property
     def p99(self) -> float:
         """99th-percentile (tail) front-end latency."""
-        return percentile(self._all_latencies(), 99)
+        return sorted_percentile(self._sorted_latencies, 99)
 
     @property
     def slo_attainment(self) -> float:

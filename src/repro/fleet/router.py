@@ -34,7 +34,13 @@ from ..serve.workload import Request
 def _least_loaded(cores: Sequence[ReplicaCore],
                   candidates: Sequence[int]) -> int:
     """Lowest estimated backlog among ``candidates``; ties by id."""
-    return min(candidates, key=lambda rid: (cores[rid].backlog_cycles, rid))
+    best = candidates[0]
+    least = cores[best].backlog_cycles
+    for rid in candidates:
+        load = cores[rid].backlog_cycles
+        if load < least or (load == least and rid < best):
+            best, least = rid, load
+    return best
 
 
 class RoundRobin:

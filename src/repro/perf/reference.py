@@ -15,6 +15,8 @@ independent code, for two users only:
 and turns the implicit process memos off for the duration of a
 ``with`` block; explicit caches passed by callers are still honoured.
 The swap is in-process only: sweep pool workers run production code.
+:func:`pushed_arrivals` swaps the serve/fleet event loop the same way,
+for the equality tests and ``scripts/check_event_loop_oracle.py``.
 No module under ``repro`` but :mod:`repro.perf.bench` imports this one
 (a structure test enforces it).
 """
@@ -30,11 +32,13 @@ from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
 from ..arch import CIMArchitecture
 from ..arch.noc import NocSpec
 from ..errors import CapacityError, ScheduleError
+from ..fleet import engine as fleet_engine
 from ..scale import partition as scale_partition
 from ..sched import cg, placement
 from ..sched.compiler import CIMMLC
 from ..sched.costs import OpProfile
 from ..sched.schedule import OpDecision, Schedule
+from ..serve import engine as serve_engine
 from ..serve import partition
 from ..sim import performance
 from . import cache as perf_cache
@@ -427,6 +431,68 @@ def interval_matrix(ops: Sequence[OpProfile], arch: CIMArchitecture,
             if need is None or need[j, i]:
                 mat[j][i] = predict_interval(ops[j:i], floor, budget)
     return mat
+
+
+# ---------------------------------------------------------------------------
+# Serve/fleet event loop
+# ---------------------------------------------------------------------------
+
+
+class PushEverythingLoop:
+    """The serve/fleet event loop before arrivals were merged.
+
+    One ``(time, seq)`` heap into which the constructor pushes every
+    arrival, in trace order, before any other event, so arrivals hold
+    the lowest sequence numbers.  Production's
+    :class:`~repro.serve.engine.EventLoop` merges the arrival-sorted
+    trace with a heap of in-flight events instead and must pop exactly
+    this sequence.
+    """
+
+    __slots__ = ("_heap", "_seq")
+
+    def __init__(self, arrivals: Sequence = (),
+                 kind: int = serve_engine._ARRIVAL) -> None:
+        self._heap: List[Tuple[float, int, int, object]] = []
+        self._seq = 0
+        for req in arrivals:
+            self.push(req.arrival, kind, req)
+
+    def push(self, time: float, kind: int, payload: object) -> None:
+        """Schedule ``payload`` of event ``kind`` at ``time``."""
+        heapq.heappush(self._heap, (time, self._seq, kind, payload))
+        self._seq += 1
+
+    def pop(self) -> Tuple[float, int, object]:
+        """The earliest ``(time, kind, payload)`` event."""
+        time, _, kind, payload = heapq.heappop(self._heap)
+        return time, kind, payload
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def __bool__(self) -> bool:
+        return bool(self._heap)
+
+
+@contextmanager
+def pushed_arrivals() -> Iterator[None]:
+    """Run the block's serve and fleet engines on
+    :class:`PushEverythingLoop`.
+
+    Kept apart from :data:`SWAPS`: ``repro bench`` times compile and
+    simulate kernels, and the event loop is checked by digest equality
+    in the tests and ``scripts/check_event_loop_oracle.py`` instead.
+    """
+    engines = (serve_engine, fleet_engine)
+    saved = [engine.EventLoop for engine in engines]
+    try:
+        for engine in engines:
+            engine.EventLoop = PushEverythingLoop
+        yield
+    finally:
+        for engine, original in zip(engines, saved):
+            engine.EventLoop = original
 
 
 # ---------------------------------------------------------------------------

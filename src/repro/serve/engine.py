@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import ScheduleError
@@ -53,20 +54,32 @@ class FinishedRequest(NamedTuple):
 
 
 class EventLoop:
-    """A deterministic ``(time, seq)``-keyed event heap.
+    """A deterministic ``(time, seq)``-keyed event heap merged with a
+    sorted arrival stream.
 
     The single source of simulated time for one scenario.  Every pushed
     event gets the next value of a monotonically increasing sequence
     number, so two events at the same timestamp pop in push order —
     simulation order is a pure function of the inputs, never of hash
     order or wall clock.
+
+    ``arrivals`` (the trace) is stable-sorted by ``arrival`` once and
+    merged with the heap instead of being pushed onto it, so the heap
+    holds only in-flight events.  An arrival pops as event ``kind``
+    with the request as its payload, and wins every time tie against
+    the heap — exactly the order of a heap into which every arrival was
+    pushed before any other event.
     """
 
-    __slots__ = ("_heap", "_seq")
+    __slots__ = ("_heap", "_seq", "_arrivals", "_next", "_kind")
 
-    def __init__(self) -> None:
+    def __init__(self, arrivals: Sequence[Request] = (),
+                 kind: int = _ARRIVAL) -> None:
         self._heap: List[Tuple[float, int, int, object]] = []
         self._seq = 0
+        self._arrivals = sorted(arrivals, key=attrgetter("arrival"))
+        self._next = 0
+        self._kind = kind
 
     def push(self, time: float, kind: int, payload: object) -> None:
         """Schedule ``payload`` of event ``kind`` at ``time``."""
@@ -75,14 +88,19 @@ class EventLoop:
 
     def pop(self) -> Tuple[float, int, object]:
         """The earliest ``(time, kind, payload)`` event."""
+        if self._next < len(self._arrivals):
+            req = self._arrivals[self._next]
+            if not self._heap or req.arrival <= self._heap[0][0]:
+                self._next += 1
+                return req.arrival, self._kind, req
         time, _, kind, payload = heapq.heappop(self._heap)
         return time, kind, payload
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._heap) + len(self._arrivals) - self._next
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return bool(self._heap) or self._next < len(self._arrivals)
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +294,6 @@ class ReplicaCore:
 
     # ------------------------------------------------------------------
 
-    def serves(self, tenant: str) -> bool:
-        """Whether this core has a queue (and executor) for ``tenant``."""
-        return tenant in self.queues
-
     def note_pending(self, tenant: str) -> None:
         """Announce one future arrival for ``tenant`` (routed but not
         yet landed); pairs with the decrement inside :meth:`on_arrival`."""
@@ -341,7 +355,8 @@ class ReplicaCore:
         ex.energy += energy
         self.tenant_energy[best.spec.name] += energy
         self.batch_sizes[best.spec.name].append(len(batch))
-        self.horizon = max(self.horizon, done)
+        if done > self.horizon:
+            self.horizon = done
         if self.recorder is not None:
             self._record_batch(ex, best.spec.name, batch, now, switch,
                                service)
@@ -466,15 +481,14 @@ class ServingEngine:
         """
         core = ReplicaCore(self.plan, self.policy, max_queue=self.max_queue,
                            recorder=recorder)
-        loop = EventLoop()
         for req in trace:
             core.note_pending(req.tenant)
-        for req in trace:
-            loop.push(req.arrival, _ARRIVAL, req)
+        loop = EventLoop(trace, _ARRIVAL)
 
         while loop:
             now, kind, payload = loop.pop()
-            core.horizon = max(core.horizon, now)
+            if now > core.horizon:
+                core.horizon = now
             if kind == _ARRIVAL:
                 core.on_arrival(payload, now, loop)
             elif kind == _TIMER:

@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..perf.kernels import fold
@@ -21,11 +22,16 @@ from ..perf.kernels import fold
 
 def percentile(latencies: Sequence[float], q: float) -> float:
     """Nearest-rank percentile (deterministic, no interpolation)."""
-    if not latencies:
+    return sorted_percentile(sorted(latencies), q)
+
+
+def sorted_percentile(ordered: Sequence[float], q: float) -> float:
+    """:func:`percentile` of an already ascending ``ordered`` list, so
+    one sort serves every percentile read from it."""
+    if not ordered:
         return 0.0
     if not 0 < q <= 100:
         raise ValueError(f"percentile must be in (0, 100], got {q}")
-    ordered = sorted(latencies)
     rank = max(1, math.ceil(q / 100.0 * len(ordered)))
     return ordered[rank - 1]
 
@@ -148,23 +154,25 @@ class ServeReport:
             return 0.0
         return self.completed * 1e6 / self.horizon_cycles
 
-    def _all_latencies(self) -> List[float]:
-        return [lat for t in self.tenants for lat in t.latencies]
+    @cached_property
+    def _sorted_latencies(self) -> List[float]:
+        """Every completed request's latency, ascending (sorted once)."""
+        return sorted(lat for t in self.tenants for lat in t.latencies)
 
     @property
     def p50(self) -> float:
         """Median end-to-end latency over every completed request."""
-        return percentile(self._all_latencies(), 50)
+        return sorted_percentile(self._sorted_latencies, 50)
 
     @property
     def p95(self) -> float:
         """95th-percentile end-to-end latency."""
-        return percentile(self._all_latencies(), 95)
+        return sorted_percentile(self._sorted_latencies, 95)
 
     @property
     def p99(self) -> float:
         """99th-percentile (tail) end-to-end latency."""
-        return percentile(self._all_latencies(), 99)
+        return sorted_percentile(self._sorted_latencies, 99)
 
     @property
     def slo_attainment(self) -> float:
@@ -310,6 +318,7 @@ def build_report(plan, policy_label: str,
     for tp in plan.tenants:
         name = tp.spec.name
         lats = [f.latency for f in finished[name]]
+        ordered = sorted(lats)
         completed = len(lats)
         slo = tp.spec.slo_cycles if tp.spec.slo_cycles is not None \
             else slo_factor * tp.service.latency_cycles
@@ -322,9 +331,9 @@ def build_report(plan, policy_label: str,
             rejected=rejected[name],
             throughput_per_mcycle=(completed * 1e6 / horizon
                                    if horizon > 0 else 0.0),
-            p50=percentile(lats, 50),
-            p95=percentile(lats, 95),
-            p99=percentile(lats, 99),
+            p50=sorted_percentile(ordered, 50),
+            p95=sorted_percentile(ordered, 95),
+            p99=sorted_percentile(ordered, 99),
             mean_latency=fold(lats) / completed if completed else 0.0,
             max_latency=max(lats) if lats else 0.0,
             slo_cycles=slo,

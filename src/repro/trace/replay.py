@@ -463,14 +463,15 @@ def _replay_serving(trace: Trace, m: Mutation) -> ReplayResult:
 def _serving_metrics(latencies: Dict[str, List[Tuple[int, float]]],
                      horizon: float) -> Dict[str, Any]:
     """Latency percentiles per tenant + overall, from replayed chains."""
-    from ..serve.report import percentile
+    from ..serve.report import sorted_percentile
 
     def stats(values: List[float]) -> Dict[str, float]:
+        ordered = sorted(values)
         return {
             "completed": len(values),
-            "p50": percentile(values, 50),
-            "p95": percentile(values, 95),
-            "p99": percentile(values, 99),
+            "p50": sorted_percentile(ordered, 50),
+            "p95": sorted_percentile(ordered, 95),
+            "p99": sorted_percentile(ordered, 99),
             "mean": sum(values) / len(values) if values else 0.0,
             "max": max(values) if values else 0.0,
         }

@@ -384,6 +384,19 @@ class TestFleetEngine:
                              autoscaler=Autoscaler(tick_cycles=50.0))
         assert engine.run(trace).digest() == engine.run(trace).digest()
 
+    def test_unknown_tenant_is_the_serve_engines_typed_error(self):
+        trace = requests("a", 0.0, 10.0) + \
+            requests("ghost", 20.0, start_index=2)
+        message = "trace request for unknown tenant 'ghost'"
+        with pytest.raises(ScheduleError, match=message):
+            simulate(replica(), trace)
+        for kw in ({}, dict(autoscaler=Autoscaler(tick_cycles=5.0)),
+                   dict(admission=AdmissionControl(max_outstanding=1,
+                                                   slo_budget=1.0,
+                                                   fairness=True))):
+            with pytest.raises(ScheduleError, match=message):
+                simulate_fleet(fleet(2), trace, **kw)
+
     def test_autoscaler_floor_must_fit_fleet(self):
         with pytest.raises(ScheduleError):
             simulate_fleet(fleet(2), [],
