@@ -1,17 +1,29 @@
 #!/usr/bin/env python
-"""Nightly check: the min-bottleneck duplication search matches its
-scalar oracle.
+"""Nightly check: the memoized compile kernels match their scalar
+oracles.
 
 Compiles every zoo model on every preset, and on ``isaac-baseline``
-resized to each of ``CORES``, with every uncached
-``sched.cg._duplicate_min_bottleneck`` call checked against
-:func:`repro.perf.reference.duplicate_min_bottleneck`: production
-finds the bisection's feasibility boundary with
-``BottleneckSearch.first_feasible`` and replays the 60 steps on it; the
-oracle runs the 60 steps with a scalar cost loop.  Both must return
-equal duplication dicts, or raise ``CapacityError`` with equal
-messages.  Exits non-zero naming the first mismatch.  Takes about 20
-seconds on a 2-vCPU host.
+resized to each of ``CORES``, and checks three things:
+
+* every call of the cached ``sched.cg.duplicate_min_bottleneck`` — memo
+  hits as well as misses — against
+  :func:`repro.perf.reference.duplicate_min_bottleneck`: production
+  answers from a name-free memo or finds the bisection's feasibility
+  boundary with ``BottleneckSearch.first_feasible``; the oracle runs the
+  60 steps with a scalar cost loop.  Both must return equal duplication
+  dicts, or raise ``CapacityError`` with equal messages;
+* on the presets, each compile's segmentation, per-operator decisions
+  and performance report against the same compile inside
+  :func:`repro.perf.reference.installed` (scalar kernels, no process
+  memos), which also covers the segment densities whose memo hits skip
+  the search.  The resized chips skip this step: the oracle's NoC cost
+  is a double loop over core pairs per operator, minutes per model at
+  2048 cores;
+* each segment's ``place_greedy`` against
+  :func:`repro.perf.reference.place_greedy`.
+
+Exits non-zero naming the first mismatch.  Takes about two minutes on
+a 2-vCPU host.
 
 Usage: ``PYTHONPATH=src python scripts/check_search_oracle.py``
 """
@@ -24,18 +36,19 @@ from repro.errors import CapacityError
 from repro.models import MODEL_ZOO
 from repro.perf import reference
 from repro.sched import CIMMLC, cg
+from repro.sched.placement import place_greedy
 
 CORES = (8, 16, 64, 256, 512, 768, 1024, 2048)
 
 
 class Mismatch(Exception):
-    """A search whose production and oracle outcomes differ."""
+    """A production outcome that differs from its oracle's."""
 
 
-def outcome(search, profiles, budget):
-    """The search's duplication dict, or the CapacityError it raised."""
+def outcome(fn, *args):
+    """``fn(*args)``, or the CapacityError it raised."""
     try:
-        return search(profiles, budget)
+        return fn(*args)
     except CapacityError as exc:
         return exc
 
@@ -47,24 +60,39 @@ def describe(result):
     return repr(result)
 
 
+def compiled(result):
+    """A compile outcome as comparable parts: segmentation, decisions
+    and report (or the CapacityError text)."""
+    if isinstance(result, CapacityError):
+        return {"error": describe(result)}
+    schedule = result.schedule
+    decisions = {
+        name: (d.segment, d.dup_cg, d.dup_mvm, d.wave_reduction,
+               d.mvm_pipelined, d.window_waves)
+        for name, d in schedule.decisions.items()}
+    return {"segments": schedule.segments, "decisions": decisions,
+            "report": result.report}
+
+
 def archs():
-    """``(label, architecture)`` per compile target."""
+    """``(label, architecture, whether the whole compile is checked)``
+    per compile target."""
     for preset, arch_fn in PRESETS.items():
-        yield preset, arch_fn()
+        yield preset, arch_fn(), True
     for cores in CORES:
         yield f"isaac-baseline x {cores} cores", \
-            isaac_baseline().with_cores(cores)
+            isaac_baseline().with_cores(cores), False
 
 
 def main() -> int:
     start = time.perf_counter()
-    production = cg._duplicate_min_bottleneck
-    count = 0
+    production = cg.duplicate_min_bottleneck
+    searches = compiles = placements = 0
 
-    def checked(profiles, budget):
-        nonlocal count
-        count += 1
-        fast = outcome(production, profiles, budget)
+    def checked(profiles, budget, cache=None):
+        nonlocal searches
+        searches += 1
+        fast = outcome(production, profiles, budget, cache)
         oracle = outcome(reference.duplicate_min_bottleneck, profiles,
                          budget)
         if describe(fast) != describe(oracle):
@@ -75,20 +103,38 @@ def main() -> int:
             raise fast
         return fast
 
-    cg._duplicate_min_bottleneck = checked
-    try:
-        for label, arch in archs():
-            for model, factory in MODEL_ZOO.items():
-                try:
-                    CIMMLC(arch).compile(factory())
-                except CapacityError:
-                    pass
-                except Mismatch as exc:
-                    print(f"MISMATCH {model} on {label}, {exc}")
+    for label, arch, whole in archs():
+        for model, factory in MODEL_ZOO.items():
+            cg.duplicate_min_bottleneck = checked
+            try:
+                fast = outcome(CIMMLC(arch).compile, factory())
+            except Mismatch as exc:
+                print(f"MISMATCH {model} on {label}, {exc}")
+                return 1
+            finally:
+                cg.duplicate_min_bottleneck = production
+            if whole:
+                with reference.installed():
+                    oracle = outcome(CIMMLC(arch).compile, factory())
+                compiles += 1
+                parts, oracle_parts = compiled(fast), compiled(oracle)
+                for part, value in parts.items():
+                    if value != oracle_parts.get(part):
+                        print(f"MISMATCH {model} on {label}: {part} "
+                              f"differs from the reference compile")
+                        return 1
+            if isinstance(fast, CapacityError):
+                continue
+            schedule = fast.schedule
+            for seg in range(len(schedule.segments)):
+                placements += 1
+                if place_greedy(schedule, seg) != \
+                        reference.place_greedy(schedule, seg):
+                    print(f"MISMATCH {model} on {label}: placement of "
+                          f"segment {seg}")
                     return 1
-    finally:
-        cg._duplicate_min_bottleneck = production
-    print(f"search oracle check passed: {count} searches identical "
+    print(f"search oracle check passed: {searches} searches, {compiles} "
+          f"compiles and {placements} placements identical "
           f"({time.perf_counter() - start:.0f} s)")
     return 0
 

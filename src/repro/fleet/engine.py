@@ -203,10 +203,12 @@ class FleetEngine:
         refresh(-math.inf)
 
         loop = EventLoop(trace, _ROUTE)
+        # Ticks and drift rounds run until the latest arrival; the trace
+        # need not be sorted.
+        last_arrival = max((req.arrival for req in trace), default=0.0)
         if autoscaler is not None and trace:
-            last = trace[-1].arrival
             k = 1
-            while k * autoscaler.tick_cycles <= last:
+            while k * autoscaler.tick_cycles <= last_arrival:
                 loop.push(k * autoscaler.tick_cycles, _TICK, None)
                 k += 1
 
@@ -219,7 +221,6 @@ class FleetEngine:
         rerouted = 0
         rerouted_hops: List[Tuple[int, str, float]] = []
         death_info: Optional[Dict] = None
-        last_arrival = trace[-1].arrival if trace else 0.0
         if fault is not None:
             if fault.drift_interval is not None \
                     and fault.drift_interval <= last_arrival:

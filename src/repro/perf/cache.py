@@ -4,7 +4,7 @@ A :class:`CompileCache` stores the expensive intermediates of a
 compilation, keyed by *content* so that any two evaluations with equal
 inputs share work no matter where they originate — sweep points of a
 :class:`~repro.explore.runner.SweepRunner`, tenants of a serving plan,
-or stages of a multi-chip shard:
+stages of a multi-chip shard, or repeated blocks of one model:
 
 * **per-op profiles** (``CostModel.profiles``) keyed by
   ``(architecture, bit binding, graph signature)`` — the architecture is
@@ -13,22 +13,31 @@ or stages of a multi-chip shard:
   :meth:`repro.graph.Graph.signature`;
 * **duplication searches** (``duplicate_min_total`` /
   ``duplicate_min_bottleneck``) keyed by the profile tuple and core
-  budget — profiles are frozen dataclasses carrying every quantity the
-  search reads, so equal keys guarantee equal answers;
+  budget, with the answer stored as one count per operator position —
+  profiles are frozen dataclasses carrying every quantity the search
+  reads, and their equality ignores the operator name, so equal keys
+  guarantee equal answers and a hit maps back to the caller's names.
+  The min-total key adds the names, because its greedy breaks exact
+  ties on them;
+* **segment densities** (``cg._segment_density``, the segmentation's
+  pop test) keyed the same way plus the pipeline gate (names again only
+  for the non-pipelined form);
 * **useful-duplication curves** (``_useful_dups``) keyed per profile;
-* **graph segmentations** (``segment_graph``) keyed by architecture,
-  graph signature, and the pipeline/duplicate gates.
+* **graph segmentations** (``segment_graph``) keyed by the named
+  profiles in topological order, the core budget, and the
+  pipeline/duplicate gates.
 
 The cache is deliberately in-process and unbounded: one sweep/serve/shard
 run holds a bounded universe of distinct keys, and entries are plain
-shared immutables (profiles) or copied-on-return containers (dup maps,
-segment lists), so sharing one cache across thousands of points is safe.
-Hit/miss counters make the reuse observable in tests and ``repro bench``.
+shared immutables (profiles, positional count tuples, floats) or
+copied-on-return containers (segment lists), so sharing one cache across
+thousands of points is safe.  Hit/miss counters make the reuse
+observable in tests and ``repro bench``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 
 class CompileCache:
@@ -48,13 +57,16 @@ class CompileCache:
 
     def __init__(self) -> None:
         self._profiles: Dict[Tuple, Dict[str, Any]] = {}
-        self._dups: Dict[Tuple, Dict[str, int]] = {}
+        self._dups: Dict[Tuple, Tuple[int, ...]] = {}
+        self._density: Dict[Tuple, float] = {}
         self._useful: Dict[Tuple, List[int]] = {}
         self._segments: Dict[Tuple, List[List[str]]] = {}
         self.profile_hits = 0
         self.profile_misses = 0
         self.dup_hits = 0
         self.dup_misses = 0
+        self.density_hits = 0
+        self.density_misses = 0
         self.segment_hits = 0
         self.segment_misses = 0
 
@@ -79,18 +91,34 @@ class CompileCache:
 
     # -- duplication searches -----------------------------------------
 
-    def get_dups(self, key: Tuple) -> Optional[Dict[str, int]]:
-        """Cached duplication map for one search key, or ``None``."""
+    def get_dups(self, key: Tuple) -> Optional[Tuple[int, ...]]:
+        """Cached duplication counts for one search key, one per
+        operator position, or ``None``."""
         hit = self._dups.get(key)
         if hit is None:
             self.dup_misses += 1
             return None
         self.dup_hits += 1
-        return dict(hit)
+        return hit
 
-    def put_dups(self, key: Tuple, dups: Dict[str, int]) -> None:
-        """Store a duplication map under ``key``."""
-        self._dups[key] = dict(dups)
+    def put_dups(self, key: Tuple, dups: Sequence[int]) -> None:
+        """Store duplication counts (by operator position) under ``key``."""
+        self._dups[key] = tuple(dups)
+
+    # -- segment densities --------------------------------------------
+
+    def get_density(self, key: Tuple) -> Optional[float]:
+        """Cached segment density for one key, or ``None``."""
+        hit = self._density.get(key)
+        if hit is None:
+            self.density_misses += 1
+            return None
+        self.density_hits += 1
+        return hit
+
+    def put_density(self, key: Tuple, density: float) -> None:
+        """Store a segment density under ``key``."""
+        self._density[key] = density
 
     # -- useful-duplication curves ------------------------------------
 
@@ -127,10 +155,13 @@ class CompileCache:
             "profile_misses": self.profile_misses,
             "dup_hits": self.dup_hits,
             "dup_misses": self.dup_misses,
+            "density_hits": self.density_hits,
+            "density_misses": self.density_misses,
             "segment_hits": self.segment_hits,
             "segment_misses": self.segment_misses,
             "profiles_stored": len(self._profiles),
             "dups_stored": len(self._dups),
+            "densities_stored": len(self._density),
             "segments_stored": len(self._segments),
         }
 
@@ -138,10 +169,12 @@ class CompileCache:
         """Drop every entry and reset the counters."""
         self._profiles.clear()
         self._dups.clear()
+        self._density.clear()
         self._useful.clear()
         self._segments.clear()
         self.profile_hits = self.profile_misses = 0
         self.dup_hits = self.dup_misses = 0
+        self.density_hits = self.density_misses = 0
         self.segment_hits = self.segment_misses = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

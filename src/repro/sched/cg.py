@@ -51,14 +51,35 @@ from .schedule import OpDecision, Schedule
 
 def _search_cache(cache: Optional["CompileCache"]
                   ) -> Optional["CompileCache"]:
-    """The cache a duplication search should use: the caller's, else
-    the process-wide :data:`repro.perf.cache.PROCESS_CACHE`.
+    """The cache a duplication search or segment density should use:
+    the caller's, else the process-wide
+    :data:`repro.perf.cache.PROCESS_CACHE`.
 
-    The searches are pure functions of ``(profile tuple, budget)``
-    (frozen dataclasses carrying every quantity they read), so sharing
-    one memo across otherwise uncached compilations is value-exact.
+    Both are pure functions of ``(profile tuple, budget)`` (frozen
+    dataclasses carrying every quantity they read), so sharing one
+    memo across otherwise uncached compilations is value-exact.
     """
     return perf_cache.PROCESS_CACHE if cache is None else cache
+
+
+def _memoized_dups(cache: "CompileCache", key: Tuple,
+                   profiles: Sequence[OpProfile],
+                   searched: Sequence[OpProfile], search
+                   ) -> Dict[str, int]:
+    """``search()``'s duplication map, memoized by operator position.
+
+    The cache holds one count per entry of ``searched`` (the operators
+    the search can duplicate; every other one stays at 1), so a hit
+    maps back to the caller's own operator names.
+    """
+    hit = cache.get_dups(key)
+    if hit is None:
+        dups = search()
+        cache.put_dups(key, [dups[p.name] for p in searched])
+        return dups
+    dups = {p.name: 1 for p in profiles}
+    dups.update((p.name, d) for p, d in zip(searched, hit))
+    return dups
 
 
 #: Budgets up to this size use the exact dynamic program (the paper's
@@ -147,23 +168,24 @@ def duplicate_min_total(profiles: Sequence[OpProfile], budget: int,
     is optimal up to the final partial jump).
 
     With a :class:`~repro.perf.CompileCache` the whole search result is
-    memoized on ``(profile tuple, budget)`` — profiles are frozen
-    dataclasses carrying every quantity the search reads, so equal keys
-    guarantee equal answers across segments, series, and sweep points.
-    Without an explicit cache the search falls back to the process-wide
-    compile cache.
+    memoized on ``(profile tuple, operator names, budget)`` and stored
+    by position — profiles are frozen dataclasses carrying every
+    quantity the search reads, so equal keys guarantee equal answers
+    across segments, series, and sweep points.  Profile equality
+    ignores names, so the key adds them: the greedy's heap and the
+    exchange pass break exact float ties on ``p.name``, and two
+    segments of equal operators in another name order can get
+    different answers.  Without an explicit cache the search falls back
+    to the process-wide compile cache.
     """
     cache = _search_cache(cache)
-    key = None
-    if cache is not None:
-        key = ("min_total", budget, tuple(profiles))
-        hit = cache.get_dups(key)
-        if hit is not None:
-            return hit
-    dups = _duplicate_min_total(profiles, budget, cache)
-    if key is not None:
-        cache.put_dups(key, dups)
-    return dups
+    if cache is None:
+        return _duplicate_min_total(profiles, budget, cache)
+    key = ("min_total", budget, tuple(profiles),
+           tuple(p.name for p in profiles))
+    return _memoized_dups(
+        cache, key, profiles, profiles,
+        lambda: _duplicate_min_total(profiles, budget, cache))
 
 
 def _duplicate_min_total(profiles: Sequence[OpProfile], budget: int,
@@ -334,29 +356,34 @@ def duplicate_min_bottleneck(profiles: Sequence[OpProfile],
     found first, with a few array evaluations of the per-operator test on
     a grid of targets (:meth:`~repro.perf.kernels.BottleneckSearch.
     first_feasible`); the 60 bisection steps then decide each midpoint by
-    comparing it to ``t_star``.  The whole result is memoized on
-    ``(profile tuple, budget)`` in the attached
-    :class:`~repro.perf.CompileCache` (the process-wide one when the
-    caller passes none).
+    comparing it to ``t_star``.  The whole result is memoized in the
+    attached :class:`~repro.perf.CompileCache` (the process-wide one
+    when the caller passes none) on the budget and the operators the
+    search reads — the CIM ones with MVMs, in order; every other
+    operator stays at 1 — and stored by position.  The search reads no
+    operator name (ties go to the first operator), and profile equality
+    ignores names, so repeated layers under other names, or between
+    other digital operators, share one entry.
     """
     cache = _search_cache(cache)
-    key = None
-    if cache is not None:
-        key = ("min_bottleneck", budget, tuple(profiles))
-        hit = cache.get_dups(key)
-        if hit is not None:
-            return hit
-    dups = _duplicate_min_bottleneck(profiles, budget)
-    if key is not None:
-        cache.put_dups(key, dups)
-    return dups
+    if cache is None:
+        return _duplicate_min_bottleneck(profiles, budget)
+    cim = tuple(_searched(profiles))
+    return _memoized_dups(
+        cache, ("min_bottleneck", budget, cim), profiles, cim,
+        lambda: _duplicate_min_bottleneck(profiles, budget))
+
+
+def _searched(profiles: Sequence[OpProfile]) -> List[OpProfile]:
+    """The operators the min-bottleneck search duplicates."""
+    return [p for p in profiles if p.is_cim and p.num_mvms > 0]
 
 
 def _duplicate_min_bottleneck(profiles: Sequence[OpProfile],
                               budget: int) -> Dict[str, int]:
     """Uncached body of :func:`duplicate_min_bottleneck`."""
     dups = {p.name: 1 for p in profiles}
-    cim = [p for p in profiles if p.is_cim and p.num_mvms > 0]
+    cim = _searched(profiles)
     if not cim:
         return dups
     base_cores = sum(p.cores_per_replica for p in cim)
@@ -566,11 +593,30 @@ def _segment_graph(order: List[str], profiles: Dict[str, OpProfile],
 def _segment_density(names: Sequence[str], profiles: Dict[str, OpProfile],
                      arch: CIMArchitecture, pipelined: bool,
                      cache: Optional["CompileCache"] = None) -> float:
-    """Optimized segment latency per unit of un-duplicated work."""
+    """Optimized segment latency per unit of un-duplicated work.
+
+    Memoized like the searches (the caller's cache, else the process
+    one) on the core budget, the gate and the segment's profiles.  The
+    pipelined density reads no operator name, so repeated layers share
+    one entry; the sequential one runs :func:`duplicate_min_total`,
+    which can break ties on names, so its key keeps them.
+    """
+    cache = _search_cache(cache)
+    key = None
+    if cache is not None:
+        key = ("density", arch.chip.core_number, pipelined,
+               tuple(profiles[n] for n in names),
+               None if pipelined else tuple(names))
+        hit = cache.get_density(key)
+        if hit is not None:
+            return hit
     latency = _segment_latency(names, profiles, arch, pipelined,
                                duplicate=True, cache=cache)
     work = sum(profiles[n].latency(1) for n in names)
-    return latency / max(1.0, work)
+    density = latency / max(1.0, work)
+    if key is not None:
+        cache.put_density(key, density)
+    return density
 
 
 def _segment_latency(names: Sequence[str], profiles: Dict[str, OpProfile],

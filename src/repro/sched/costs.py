@@ -26,7 +26,7 @@ Per CIM-supported operator we derive an :class:`OpProfile`:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, Optional
 
 from ..arch import BitBinding, CIMArchitecture, ComputingMode, VXBShape, bind
@@ -47,9 +47,14 @@ _WINDOWED_OPS = frozenset({
 
 @dataclass(frozen=True)
 class OpProfile:
-    """Static per-operator quantities (duplication-independent)."""
+    """Static per-operator quantities (duplication-independent).
 
-    name: str
+    Equality and hashing ignore ``name``: two operators with equal
+    quantities are the same key for every memo that answers by
+    position, so repeated layers share one entry.
+    """
+
+    name: str = field(compare=False)
     op_type: str
     is_cim: bool
     #: MVM decomposition (CIM ops only; 0 / None otherwise).

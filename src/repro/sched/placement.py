@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..arch import ChipTier
 from ..arch.noc import hop_cost_array
 from ..errors import CapacityError, ScheduleError
 from .schedule import Schedule
@@ -34,30 +35,10 @@ from .schedule import Schedule
 Placement = Dict[str, List[int]]
 
 #: Process-wide content-addressed memo of greedy placements, keyed on
-#: every input the algorithm reads (graph signature, architecture value,
-#: the segment's per-op core counts, region, die geometry, I/O anchor).
-#: ``repro bench`` clears it between runs.
-_GREEDY_MEMO: Dict[Tuple, Placement] = {}
-
-
-def _greedy_memo_key(schedule: Schedule, segment: int,
-                     region: Optional[Sequence[int]],
-                     die_cores: Optional[int],
-                     io_anchor: Optional[int]) -> Tuple:
-    """Content key of a greedy placement.
-
-    The placer reads graph topology/tensors (edges and traffic — covered
-    by ``Graph.signature()``), the NoC geometry (the frozen architecture
-    value), each segment operator's core count and CIM-ness, and the
-    region/die/anchor arguments.  Equal keys therefore guarantee equal
-    placements.
-    """
-    decisions = tuple(
-        (name, schedule.decision(name).cores,
-         schedule.decision(name).profile.is_cim)
-        for name in schedule.segments[segment])
-    return (schedule.graph.signature(), schedule.arch, decisions,
-            None if region is None else tuple(region), die_cores, io_anchor)
+#: every input the algorithm reads and holding one core tuple per CIM
+#: operator position (see :func:`place_greedy`).  ``repro bench``
+#: clears it between runs.
+_GREEDY_MEMO: Dict[Tuple, Tuple[Tuple[int, ...], ...]] = {}
 
 
 def _resolve_region(schedule: Schedule,
@@ -243,55 +224,73 @@ def place_greedy(schedule: Schedule, segment: int = 0,
 
     The hop geometry comes from the process-wide
     :func:`~repro.arch.noc.hop_cost_array` memo, candidates are scored as
-    array expressions, and whole placements are memoized
-    content-addressed (:data:`_GREEDY_MEMO`).
+    array expressions, and whole placements are memoized in
+    :data:`_GREEDY_MEMO` on what the placer reads, with operators by
+    position: the chip's NoC and core count, each CIM operator's core
+    count, the CIM-to-CIM edges as ``(position, position, bits)``, each
+    operator's boundary bits when ``io_anchor`` is set, and ``region``,
+    ``die_cores`` and ``io_anchor``.  Segments that differ only in
+    operator names (repeated blocks, the same layers in another model)
+    share one placement.
     """
     cores = _resolve_region(schedule, region)
-    key = _greedy_memo_key(schedule, segment, region, die_cores, io_anchor)
+    names = _segment_cim_nodes(schedule, segment)
+    position = {name: i for i, name in enumerate(names)}
+    chip = schedule.arch.chip
+    needs = tuple(_cores_needed(schedule, name) for name in names)
+    edges = tuple((position[producer], position[consumer], bits)
+                  for producer, consumer, bits in _edges(schedule, segment))
+    io_bits = None if io_anchor is None else \
+        tuple(_io_traffic_bits(schedule, name) for name in names)
+    key = (chip.core_noc, chip.core_number, needs, edges, io_bits,
+           None if region is None else tuple(region), die_cores, io_anchor)
     hit = _GREEDY_MEMO.get(key)
     if hit is None:
-        hit = _place_greedy(schedule, segment, cores, die_cores, io_anchor)
+        hit = _place_greedy(chip, cores, needs, edges, io_bits, die_cores,
+                            io_anchor, segment, names)
         _GREEDY_MEMO[key] = hit
-    return {name: list(chosen) for name, chosen in hit.items()}
+    return {name: list(chosen) for name, chosen in zip(names, hit)}
 
 
-def _place_greedy(schedule: Schedule, segment: int, cores: Sequence[int],
-                  die_cores: Optional[int],
-                  io_anchor: Optional[int]) -> Placement:
-    """Uncached body of :func:`place_greedy`.
+def _place_greedy(chip: ChipTier, cores: Sequence[int], needs: Sequence[int],
+                  edges: Sequence[Tuple[int, int, int]],
+                  io_bits: Optional[Sequence[int]],
+                  die_cores: Optional[int], io_anchor: Optional[int],
+                  segment: int, names: Sequence[str]
+                  ) -> Tuple[Tuple[int, ...], ...]:
+    """Uncached body of :func:`place_greedy`, on operator positions.
 
-    The hop geometry is sized like :func:`_hop_matrix` (so mesh grids
-    never change shape), candidate scoring applies the anchor-order
-    additions via ``np.add.accumulate``, and ``np.lexsort`` breaks ties
-    like a ``(cost, core)`` tuple sort.
+    Returns one ascending core tuple per CIM operator; ``segment`` and
+    ``names`` only label the capacity error.  The hop geometry is sized
+    like :func:`_hop_matrix` (so mesh grids never change shape),
+    candidate scoring applies the anchor-order additions via
+    ``np.add.accumulate``, and ``np.lexsort`` breaks ties like a
+    ``(cost, core)`` tuple sort.
     """
-    n = max(schedule.arch.chip.core_number, max(cores, default=0) + 1,
-            die_cores or 0)
+    n = max(chip.core_number, max(cores, default=0) + 1, die_cores or 0)
     if io_anchor is not None:
         n = max(n, io_anchor + 1)
-    hop = hop_cost_array(schedule.arch.chip.core_noc, n)
+    hop = hop_cost_array(chip.core_noc, n)
     base = np.sort(np.asarray(list(cores), dtype=np.int64))
     free_mask = np.ones(base.size, dtype=bool)
-    placement: Placement = {}
-    inbound: Dict[str, List[Tuple[str, int]]] = {}
-    for producer, consumer, bits in _edges(schedule, segment):
+    placed: List[Tuple[int, ...]] = []
+    inbound: Dict[int, List[Tuple[int, int]]] = {}
+    for producer, consumer, bits in edges:
         inbound.setdefault(consumer, []).append((producer, bits))
 
-    for name in _segment_cim_nodes(schedule, segment):
-        need = _cores_needed(schedule, name)
+    for i, need in enumerate(needs):
         candidates = base[free_mask]   # ascending == sorted(free)
         if need > candidates.size:
             raise ScheduleError(
-                f"segment {segment}: not enough free cores for {name!r}"
+                f"segment {segment}: not enough free cores for {names[i]!r}"
             )
         anchors: List[Tuple[int, int]] = []   # (core, weight)
-        for producer, bits in inbound.get(name, []):
-            for core in placement.get(producer, []):
+        for producer, bits in inbound.get(i, []):
+            # A producer not placed yet does not attract.
+            for core in placed[producer] if producer < i else ():
                 anchors.append((core, bits))
-        if io_anchor is not None:
-            io_bits = _io_traffic_bits(schedule, name)
-            if io_bits > 0:
-                anchors.append((io_anchor, io_bits))
+        if io_bits is not None and io_bits[i] > 0:
+            anchors.append((io_anchor, io_bits[i]))
         if anchors:
             a_idx = np.asarray([a for a, _ in anchors], dtype=np.int64)
             weights = np.asarray([float(w) for _, w in anchors])
@@ -300,9 +299,9 @@ def _place_greedy(schedule: Schedule, segment: int, cores: Sequence[int],
             pick = np.lexsort((candidates, costs))[:need]
         else:
             pick = np.arange(need)
-        placement[name] = sorted(int(c) for c in candidates[pick])
+        placed.append(tuple(sorted(int(c) for c in candidates[pick])))
         free_mask[np.flatnonzero(free_mask)[pick]] = False
-    return placement
+    return tuple(placed)
 
 
 def annotate_placement(schedule: Schedule, segment: int = 0,

@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..errors import ScheduleError
 from .partition import ServingPlan, TenantPlan
@@ -291,6 +291,9 @@ class ReplicaCore:
         #: Estimated cycles of work queued or in service right now
         #: (per-request steady-state intervals; maintained incrementally).
         self.backlog_cycles = 0.0
+        #: ``(tenant, deadline)`` of every flush timer on the loop that
+        #: has not fired yet: one timer per deadline is enough.
+        self._timers: Set[Tuple[str, float]] = set()
 
     # ------------------------------------------------------------------
 
@@ -313,7 +316,13 @@ class ReplicaCore:
     def try_dispatch(self, ex: _Executor, now: float,
                      loop: EventLoop) -> None:
         """Dispatch the best ready batch on ``ex``, arming flush timers
-        for queues that are waiting on their timeout."""
+        for queues that are waiting on their timeout.
+
+        A queue's timer is armed only when none is pending at its
+        deadline: a second one would only repeat this call at the same
+        time, and on a shared executor each call arms a timer for every
+        waiting queue, so duplicates would multiply without bound.
+        """
         if ex.busy_until > now:
             return
         # Ready tenants on this executor, FIFO across queues: serve
@@ -332,7 +341,10 @@ class ReplicaCore:
             else:
                 deadline = self.policy.deadline(q[0].arrival)
                 if deadline is not None and deadline > now:
-                    loop.push(deadline, _TIMER, (self.rid, t.spec.name))
+                    timer = (t.spec.name, deadline)
+                    if timer not in self._timers:
+                        self._timers.add(timer)
+                        loop.push(deadline, _TIMER, (self.rid, t.spec.name))
         if best is None:
             return
         q = self.queues[best.spec.name]
@@ -408,6 +420,7 @@ class ReplicaCore:
 
     def on_timer(self, tenant: str, now: float, loop: EventLoop) -> None:
         """A batching-timeout timer fired for ``tenant``'s queue."""
+        self._timers.discard((tenant, now))
         self.try_dispatch(self._by_tenant[tenant], now, loop)
 
     def wake(self, ex_name: str, now: float, loop: EventLoop) -> None:

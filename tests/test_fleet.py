@@ -340,6 +340,27 @@ class TestFleetEngine:
         assert report.active_peak > 1
         assert report.initial_active == 1
 
+    def test_autoscaler_runs_to_the_latest_arrival_of_an_unsorted_trace(
+            self):
+        # Ticks run to the latest arrival wherever it sits in the list;
+        # stopping at the last element's, with the earliest request
+        # moved to the end, would leave this fleet no tick at all.
+        plan = build_fleet(functional_testbed(), SMALL_TENANTS, replicas=3)
+        trace = make_trace("diurnal-bursty", SMALL_TENANTS, rate=1e-3,
+                           num_requests=2000, seed=0)
+        earliest = min(trace, key=lambda req: req.arrival)
+        moved = [req for req in trace if req is not earliest] + [earliest]
+
+        def run(t):
+            return simulate_fleet(plan, t, autoscaler=Autoscaler(
+                tick_cycles=20_000.0, min_replicas=1, up_threshold=2.0,
+                down_threshold=0.5, hold_ticks=1))
+
+        ordered, unsorted = run(trace), run(moved)
+        assert ordered.scale_events
+        assert unsorted.scale_events == ordered.scale_events
+        assert unsorted.digest() == ordered.digest()
+
     def test_spin_up_pays_deploy_energy(self):
         storm = requests("a", *[float(i) for i in range(120)])
         scaler = Autoscaler(tick_cycles=100.0, min_replicas=1,

@@ -41,6 +41,7 @@ import repro
 from repro.arch import (
     MultiChipSystem,
     functional_testbed,
+    get_preset,
     isaac_baseline,
     noc,
     table2_example,
@@ -49,6 +50,7 @@ from repro.errors import CapacityError
 from repro.explore import SweepPoint, SweepRunner, SweepSpace, level_series
 from repro.explore import runner as runner_mod
 from repro.faults import FaultModel
+from repro.graph import GraphBuilder
 from repro.models import get_model, lenet, mlp, resnet18, vit_tiny
 from repro.perf import CompileCache, IncrementalCompiler, reference
 from repro.perf import cache as perf_cache
@@ -608,9 +610,10 @@ class TestCompileCache:
 
     def test_uncached_searches_and_sweep_points_share_the_process_cache(
             self):
-        # An uncached compile memoizes only its duplication searches, in
-        # the process cache; a sweep point of the same compile then
-        # finds them there instead of searching again.
+        # An uncached compile memoizes only its duplication searches
+        # and segment densities, in the process cache; a sweep point of
+        # the same compile then finds them there instead of searching
+        # again.
         from repro.perf.bench import clear_process_caches
 
         arch = functional_testbed().with_cores(40)
@@ -625,6 +628,157 @@ class TestCompileCache:
         assert process.dup_misses == searched and process.dup_hits >= 1
         clear_process_caches()
         assert process.stats() == CompileCache().stats()
+
+
+def _changed(value):
+    """A different value of an ``OpProfile`` field's type."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "'"
+    if dataclasses.is_dataclass(value):
+        return None          # the optional VXB shape
+    raise TypeError(f"no changed value for {value!r}: extend _changed")
+
+
+class TestNameFreeKeys:
+    """The per-segment memos key on operator content, not names, and
+    answer by position; min-total keeps the names it breaks ties on."""
+
+    def _cim_profile(self):
+        profiles, _ = _profiles(lenet, isaac_baseline)
+        return next(p for p in profiles if p.is_cim and p.num_mvms > 1)
+
+    def test_renamed_profiles_share_one_min_bottleneck_entry(self):
+        p = self._cim_profile()
+        q = dataclasses.replace(p, name="renamed")
+        assert p == q and hash(p) == hash(q)
+        cache = CompileCache()
+        first = duplicate_min_bottleneck([p], 64, cache)
+        second = duplicate_min_bottleneck([q], 64, cache)
+        assert (cache.dup_misses, cache.dup_hits) == (1, 1)
+        assert second == {"renamed": first[p.name]}
+        assert second == reference.duplicate_min_bottleneck([q], 64)
+
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(OpProfile)
+                  if f.name != "name"])
+    def test_every_other_field_is_in_the_key(self, field):
+        p = self._cim_profile()
+        q = dataclasses.replace(p, **{field: _changed(getattr(p, field))})
+        assert p != q
+        cache = CompileCache()
+        duplicate_min_bottleneck([p], 64, cache)
+        try:
+            duplicate_min_bottleneck([q], 64, cache)
+        except CapacityError:
+            pass
+        assert (cache.dup_misses, cache.dup_hits) == (2, 0)
+
+    def test_min_total_keeps_names_for_its_tie_breaks(self):
+        # Two equal operators in swapped name order: the greedy breaks
+        # their exact ties on the name, so the answers differ by
+        # position and a name-free key would hand the second call the
+        # first call's counts.
+        base = dataclasses.replace(self._cim_profile(), num_mvms=1000,
+                                   max_useful_dup=1000, cores_per_replica=1)
+        a = dataclasses.replace(base, name="a")
+        b = dataclasses.replace(base, name="b")
+        budget = cg._EXACT_DP_BUDGET + 5
+        cache = CompileCache()
+        for order in ([a, b], [b, a], [a, b]):
+            assert duplicate_min_total(order, budget, cache) == \
+                reference.duplicate_min_total(order, budget)
+        assert (cache.dup_misses, cache.dup_hits) == (2, 1)
+
+    def test_segment_density_key_is_name_free_but_keeps_budget_and_gate(
+            self):
+        profiles, _ = _profiles(lenet, isaac_baseline)
+        seg = [p for p in profiles if p.is_cim][:2]
+        renamed = [dataclasses.replace(p, name=f"renamed{i}")
+                   for i, p in enumerate(seg)]
+        arch = isaac_baseline()
+
+        def density(ops, arch, pipelined, cache):
+            return cg._segment_density([p.name for p in ops],
+                                       {p.name: p for p in ops}, arch,
+                                       pipelined, cache)
+
+        cache = CompileCache()
+        assert density(seg, arch, True, cache) == \
+            density(renamed, arch, True, cache)
+        assert (cache.density_misses, cache.density_hits) == (1, 1)
+        # Another budget, the sequential gate, and (sequential only)
+        # other names each miss and match a cold evaluation.
+        for ops, chip, pipelined in ((seg, arch.with_cores(4), True),
+                                     (seg, arch, False),
+                                     (renamed, arch, False)):
+            misses = cache.density_misses
+            assert density(ops, chip, pipelined, cache) == \
+                density(ops, chip, pipelined, CompileCache())
+            assert cache.density_misses == misses + 1
+
+    def test_repeated_segments_share_one_placement(self, monkeypatch):
+        monkeypatch.setattr(placement, "_GREEDY_MEMO", {})
+        bodies = []
+        body = placement._place_greedy
+
+        def counted(*args):
+            bodies.append(args)
+            return body(*args)
+
+        monkeypatch.setattr(placement, "_place_greedy", counted)
+        arch = get_preset("jia2021")
+        n = arch.chip.core_number
+        schedule = CIMMLC(arch).schedule(resnet18())
+        segments = range(len(schedule.segments))
+        for seg in segments:
+            assert place_greedy(schedule, seg) == \
+                reference.place_greedy(schedule, seg)
+        assert 0 < len(bodies) < len(schedule.segments)
+        for kwargs in (dict(io_anchor=0), dict(io_anchor=n - 1),
+                       dict(region=range(n, 2 * n), die_cores=2 * n),
+                       dict(region=range(n, 2 * n), die_cores=2 * n,
+                            io_anchor=2 * n - 1)):
+            for seg in segments:
+                assert place_greedy(schedule, seg, **kwargs) == \
+                    reference.place_greedy(schedule, seg, **kwargs)
+
+    def test_placement_key_covers_wiring_boundary_and_region(
+            self, monkeypatch):
+        # Three graphs whose one segment has equal per-operator core
+        # counts, placed through one memo: a chain, a fan-out (other
+        # edges) and a chain whose wide middle output is also a graph
+        # output (other boundary bits).  A leading ReLU keeps the first
+        # CIM operator off the I/O anchor.
+        monkeypatch.setattr(placement, "_GREEDY_MEMO", {})
+
+        def three_gemms(fan_out=False, tap=False):
+            b = GraphBuilder("three-gemms")
+            x = b.relu(b.input("x", (1, 16)))
+            a = b.gemm(x, 32, name="a")
+            c = b.gemm(a, 256, name="c")
+            d = b.gemm(a if fan_out else c, 32, name="d")
+            return b.build(outputs=[c, d] if fan_out or tap else [d])
+
+        arch = get_preset("puma")
+        n = arch.chip.core_number
+        schedules = [CIMMLC(arch).schedule(three_gemms(**kw))
+                     for kw in ({}, dict(fan_out=True), dict(tap=True))]
+        variants = ({}, dict(io_anchor=n - 1),
+                    dict(region=range(n), die_cores=2 * n),
+                    dict(region=range(n, 2 * n), die_cores=2 * n))
+        placed = {}
+        for i, schedule in enumerate(schedules):
+            for j, kwargs in enumerate(variants):
+                placed[i, j] = place_greedy(schedule, **kwargs)
+                assert placed[i, j] == \
+                    reference.place_greedy(schedule, **kwargs)
+        assert placed[0, 0] != placed[1, 0]     # the edges matter
+        assert placed[0, 1] != placed[2, 1]     # the boundary bits
+        assert placed[0, 2] != placed[0, 3]     # the region
 
 
 class TestSweepRunnerFastPath:

@@ -33,6 +33,7 @@ from repro.serve import (
     simulate,
     tenant_counts,
 )
+from repro.serve import engine as engine_mod
 from repro.serve.workload import Request
 
 SMALL_TENANTS = [TenantSpec("lenet", "lenet", weight=2.0),
@@ -220,6 +221,45 @@ class TestEngine:
         plan = synthetic_plan(tenants=("a",))
         with pytest.raises(ScheduleError):
             ServingEngine(plan, FixedBatch(1)).run(requests("ghost", 0.0))
+
+    def test_flush_timers_do_not_multiply_on_a_shared_executor(
+            self, monkeypatch):
+        # Two timeout-batched tenants on one temporal executor, four
+        # requests per 10,000-cycle grid time.  Each dispatch attempt
+        # arms a timer for every waiting queue; without one timer per
+        # (tenant, deadline) the timers re-arm each other and multiply
+        # without bound.  A counting loop fails fast past two pushes
+        # per request.
+        class CappedLoop(engine_mod.EventLoop):
+            __slots__ = ()
+            pushes = 0
+            cap = 0
+
+            def push(self, time, kind, payload):
+                CappedLoop.pushes += 1
+                if CappedLoop.pushes > CappedLoop.cap:
+                    raise AssertionError(
+                        f"more than {CappedLoop.cap} event pushes")
+                super().push(time, kind, payload)
+
+        monkeypatch.setattr(engine_mod, "EventLoop", CappedLoop)
+        plan = make_plan("temporal", functional_testbed(), SMALL_TENANTS)
+        policy = parse_policy("timeout:8:50000")
+        digests = {}
+        for n in (60, 300):
+            slots = n // 4   # 15 and 75 grid times, scrambled order
+            trace = [Request(i, ("lenet", "mlp")[i % 2],
+                             float((i * 7) % slots) * 10_000.0)
+                     for i in range(n)]
+            CappedLoop.pushes, CappedLoop.cap = 0, 2 * n
+            report = simulate(plan, trace, policy=policy, max_queue=64)
+            assert report.completed + report.rejected == n
+            digests[n] = report.digest()
+        # The digest with a timer per dispatch attempt: a timer at a
+        # deadline where one is pending only repeats a dispatch attempt
+        # at the same time, so deduplicating changes no result.
+        assert digests[60] == ("c22303f878215d5fe1b50cbd726abb16"
+                               "83b5db8ba97269a190149c678a2cf319")
 
     def test_percentile_nearest_rank(self):
         lats = [float(x) for x in range(1, 101)]
