@@ -159,7 +159,9 @@ class NocSpec:
 
     def max_cost(self, n: int) -> float:
         """Worst-case pairwise cost (network diameter in cycles)."""
-        return _max_cost(self, n)
+        if n <= 0:
+            return 0.0
+        return float(self.cost_array(n).max())
 
 
 @lru_cache(maxsize=None)
@@ -176,14 +178,6 @@ def _average_cost(spec: NocSpec, n: int) -> float:
     costs = spec.cost_array(n)
     np.fill_diagonal(costs, 0.0)
     return seq_sum(costs.ravel()) / (n * (n - 1))
-
-
-@lru_cache(maxsize=None)
-def _max_cost(spec: NocSpec, n: int) -> float:
-    """Memoized vectorized :meth:`NocSpec.max_cost`."""
-    if n <= 0:
-        return 0.0
-    return float(spec.cost_array(n).max())
 
 
 @lru_cache(maxsize=None)

@@ -204,8 +204,7 @@ def evaluate_point(point: SweepPoint,
     in sweep workers and serial runs alike, that agrees on the
     quantities they depend on.
     """
-    if cache is None:
-        cache = perf_cache.PROCESS_CACHE
+    cache = perf_cache.resolve(cache)
     if point.chips < 1:
         from ..errors import ArchitectureError
 

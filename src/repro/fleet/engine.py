@@ -50,7 +50,7 @@ from ..serve.engine import (
     TimeoutBatch,
 )
 from ..serve.report import TenantStats, sorted_percentile
-from ..serve.workload import Request
+from ..serve.workload import Request, _require_positive
 from .admission import AdmissionControl
 from .autoscaler import Autoscaler
 from .plan import FleetPlan
@@ -81,6 +81,7 @@ class FleetEngine:
         self.admission = admission or AdmissionControl()
         self.autoscaler = autoscaler
         self.max_queue = max_queue
+        _require_positive("slo_factor", slo_factor)
         self.slo_factor = slo_factor
         # A zero fault model is the fault-free engine, bit for bit.
         self.fault = None if fault is not None and fault.is_zero() else fault

@@ -4,10 +4,10 @@ The hot compile→simulate path is accelerated by three pieces (see
 ``docs/PERFORMANCE.md``):
 
 * :mod:`repro.perf.cache` — :class:`CompileCache`, the in-process
-  content-addressed memo for per-op profiles, duplication searches, and
-  graph segmentations, shared across sweep points / serve tenants /
-  shard stages, and ``PROCESS_CACHE``, the one process-wide instance
-  used when a caller passes no cache;
+  content-addressed memo for per-op profiles, duplication searches,
+  graph segmentations and greedy placements, shared across sweep
+  points / serve tenants / shard stages, and ``PROCESS_CACHE``, the one
+  process-wide instance used when a caller passes no cache;
 * :mod:`repro.perf.kernels` — vectorized (numpy) forms of the
   per-operator scheduler and simulator loops;
 * :mod:`repro.perf.incremental` — :class:`IncrementalCompiler`, one

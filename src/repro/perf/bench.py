@@ -63,18 +63,15 @@ class BenchResult:
 def clear_process_caches() -> None:
     """Reset every implicit process memo so a timed run starts cold.
 
-    Covers the process-wide compile cache, the placement memo, and the
-    memoized NoC cost matrices/aggregates; explicit caches owned by
-    callers are untouched.
+    Covers the process-wide compile cache (which holds the implicit
+    searches, densities and placements) and the memoized NoC cost
+    aggregates; explicit caches owned by callers are untouched.
     """
-    from ..arch.noc import _average_cost, _max_cost, hop_cost_array
-    from ..sched import placement as placement_mod
+    from ..arch.noc import _average_cost, hop_cost_array
     from . import cache as perf_cache
 
     perf_cache.PROCESS_CACHE.clear()
-    placement_mod._GREEDY_MEMO.clear()
     _average_cost.cache_clear()
-    _max_cost.cache_clear()
     hop_cost_array.cache_clear()
 
 
@@ -158,110 +155,6 @@ def _bench_placement(quick: bool) -> Tuple[Callable, int]:
         return {name: list(cores) for name, cores in placements.items()}
 
     return workload, len(schedule.segments)
-
-
-@_bench("incremental")
-def _bench_incremental(quick: bool) -> Tuple[Callable, int]:
-    """One-axis recompilation: a core-count family, two graph copies.
-
-    Routes every compile of a sweep-shaped workload (one architecture
-    axis moving, everything else fixed; a second copy of the same model
-    replaying the family, as fleet replicas and serve tenants do)
-    through one :class:`~repro.perf.IncrementalCompiler`.  On the
-    reference leg the compiler bypasses its cache, so the digest
-    equality check in :func:`run_bench` pins the cached results
-    bit-identical to cold compiles.  The production leg additionally
-    *asserts cache reuse*: the replayed copy must hit the profile cache
-    on every point and the duplication-search cache — a silent
-    fall-through to full recompiles fails the run rather than reporting
-    an honest-looking speedup.
-    """
-    from .cache import CompileCache
-    from .incremental import IncrementalCompiler
-    from ..models import resnet18, vit_tiny
-
-    make_graph = vit_tiny if quick else resnet18
-    _, arch = _compile_inputs(quick)
-    core_axis = (512, 768) if quick else (512, 640, 768, 896)
-    graphs = (make_graph(), make_graph())
-
-    def workload():
-        cache = CompileCache()
-        inc = IncrementalCompiler(cache=cache)
-        digest = []
-        for graph in graphs:
-            for cores in core_axis:
-                result = inc.compile(graph, arch.with_cores(cores))
-                digest.append({
-                    "cores": cores,
-                    "total_cycles": result.report.total_cycles,
-                    "op_latency": result.report.op_latency,
-                    "peak_power": result.report.power.peak_power})
-        # The reference leg never touches the cache; the production leg
-        # must have served the replayed copy from it.
-        if cache.profile_misses and (cache.profile_hits < len(core_axis)
-                                     or cache.dup_hits == 0):
-            raise RuntimeError(
-                f"incremental bench: the replayed family missed the "
-                f"shared cache ({cache.stats()})")
-        return digest
-
-    return workload, len(core_axis) * len(graphs)
-
-
-@_bench("perf_sim")
-def _bench_perf_sim(quick: bool) -> Tuple[Callable, int]:
-    """The performance simulator alone, on a prebuilt schedule."""
-    from ..sched import CIMMLC
-    from ..sim.performance import PerformanceSimulator
-
-    graph, arch = _compile_inputs(quick)
-    schedule = CIMMLC(arch).schedule(graph)
-    repeats = 20 if quick else 50
-
-    def workload():
-        report = None
-        for _ in range(repeats):
-            report = PerformanceSimulator(arch).run(schedule)
-        return {"total_cycles": report.total_cycles,
-                "op_latency": report.op_latency,
-                "intervals": list(report.segment_intervals)}
-
-    return workload, repeats
-
-
-@_bench("power")
-def _bench_power(quick: bool) -> Tuple[Callable, int]:
-    """The power/energy model alone, on a prebuilt schedule.
-
-    Isolates what energy reporting costs on top of the latency
-    simulation: comparing this workload's per-evaluation wall clock
-    against ``perf_sim``'s (which runs the full simulator, power
-    included) bounds the energy-reporting share of the hot path — the
-    docs/ENERGY.md <5%-overhead claim.  The evaluation is deliberately
-    scalar on both paths (a tiny loop), so the speedup column is ~1x by
-    design; the digest check still pins reference/fast equality.
-    """
-    from ..sched import CIMMLC
-    from ..sim.power import PowerModel
-
-    graph, arch = _compile_inputs(quick)
-    schedule = CIMMLC(arch).schedule(graph)
-    repeats = 20 if quick else 50
-
-    def workload():
-        model = PowerModel(arch)
-        report = None
-        for _ in range(repeats):
-            report = model.evaluate(schedule, total_cycles=1e6)
-        return {"peak_power": report.peak_power,
-                "avg_power": report.avg_power,
-                "energy": [report.energy_crossbar, report.energy_converter,
-                           report.energy_movement,
-                           report.energy_reconfiguration],
-                "write_energy": model.weight_write_energy(schedule)}
-
-    return workload, repeats
 
 
 @_bench("sweep_fig22")

@@ -25,13 +25,15 @@ stages of a multi-chip shard, or repeated blocks of one model:
 * **useful-duplication curves** (``_useful_dups``) keyed per profile;
 * **graph segmentations** (``segment_graph``) keyed by the named
   profiles in topological order, the core budget, and the
-  pipeline/duplicate gates.
+  pipeline/duplicate gates;
+* **greedy placements** (``placement.place_greedy``) keyed on what the
+  placer reads, with one core tuple per CIM operator position.
 
 The cache is deliberately in-process and unbounded: one sweep/serve/shard
 run holds a bounded universe of distinct keys, and entries are plain
-shared immutables (profiles, positional count tuples, floats) or
-copied-on-return containers (segment lists), so sharing one cache across
-thousands of points is safe.  Hit/miss counters make the reuse
+shared immutables (profiles, positional count and core tuples, floats)
+or copied-on-return containers (segment lists), so sharing one cache
+across thousands of points is safe.  Hit/miss counters make the reuse
 observable in tests and ``repro bench``.
 """
 
@@ -61,6 +63,7 @@ class CompileCache:
         self._density: Dict[Tuple, float] = {}
         self._useful: Dict[Tuple, List[int]] = {}
         self._segments: Dict[Tuple, List[List[str]]] = {}
+        self._placements: Dict[Tuple, Tuple[Tuple[int, ...], ...]] = {}
         self.profile_hits = 0
         self.profile_misses = 0
         self.dup_hits = 0
@@ -69,6 +72,8 @@ class CompileCache:
         self.density_misses = 0
         self.segment_hits = 0
         self.segment_misses = 0
+        self.placement_hits = 0
+        self.placement_misses = 0
 
     # -- per-op profiles ----------------------------------------------
 
@@ -146,6 +151,23 @@ class CompileCache:
         """Store a segmentation under ``key``."""
         self._segments[key] = [list(seg) for seg in segments]
 
+    # -- greedy placements --------------------------------------------
+
+    def get_placement(self, key: Tuple
+                      ) -> Optional[Tuple[Tuple[int, ...], ...]]:
+        """Cached core tuples by operator position, or ``None``."""
+        hit = self._placements.get(key)
+        if hit is None:
+            self.placement_misses += 1
+            return None
+        self.placement_hits += 1
+        return hit
+
+    def put_placement(self, key: Tuple,
+                      cores: Tuple[Tuple[int, ...], ...]) -> None:
+        """Store a placement (core tuples by operator position)."""
+        self._placements[key] = cores
+
     # ------------------------------------------------------------------
 
     def stats(self) -> Dict[str, int]:
@@ -159,10 +181,13 @@ class CompileCache:
             "density_misses": self.density_misses,
             "segment_hits": self.segment_hits,
             "segment_misses": self.segment_misses,
+            "placement_hits": self.placement_hits,
+            "placement_misses": self.placement_misses,
             "profiles_stored": len(self._profiles),
             "dups_stored": len(self._dups),
             "densities_stored": len(self._density),
             "segments_stored": len(self._segments),
+            "placements_stored": len(self._placements),
         }
 
     def clear(self) -> None:
@@ -172,10 +197,12 @@ class CompileCache:
         self._density.clear()
         self._useful.clear()
         self._segments.clear()
+        self._placements.clear()
         self.profile_hits = self.profile_misses = 0
         self.dup_hits = self.dup_misses = 0
         self.density_hits = self.density_misses = 0
         self.segment_hits = self.segment_misses = 0
+        self.placement_hits = self.placement_misses = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         s = self.stats()
@@ -184,12 +211,16 @@ class CompileCache:
                 f"hits={s['profile_hits'] + s['dup_hits']})")
 
 
-#: The process-wide compile cache.  The duplication searches fall back
-#: on it when their caller passes no ``cache=``, and the explore runner
-#: evaluates every sweep point through it.  Keys are content, so one
-#: instance serves unrelated callers value-exactly.  Callers read it
-#: through this module at call time: the reference seam
-#: (:func:`repro.perf.reference.installed`) turns it off by binding
-#: ``None`` here, and :func:`repro.perf.bench.clear_process_caches`
-#: empties it.
+#: The process-wide compile cache, home of every implicit memo: the
+#: searches, densities and placements of uncached compiles, and the
+#: default cache of the explore runner and the serve planners.  The
+#: reference seam (:func:`repro.perf.reference.installed`) binds
+#: ``None`` here; :func:`repro.perf.bench.clear_process_caches` empties
+#: it.
 PROCESS_CACHE: Optional[CompileCache] = CompileCache()
+
+
+def resolve(cache: Optional[CompileCache]) -> Optional[CompileCache]:
+    """The caller's cache, else :data:`PROCESS_CACHE` (``None`` inside
+    the reference seam), read at call time."""
+    return PROCESS_CACHE if cache is None else cache

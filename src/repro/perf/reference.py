@@ -39,7 +39,6 @@ from ..sched.compiler import CIMMLC
 from ..sched.costs import OpProfile
 from ..sched.schedule import OpDecision, Schedule
 from ..serve import engine as serve_engine
-from ..serve import partition
 from ..sim import performance
 from . import cache as perf_cache
 from .cache import CompileCache
@@ -507,17 +506,14 @@ def _compile_uncached(self: IncrementalCompiler, graph, arch,
     return CIMMLC(arch, options).compile(graph)
 
 
-def _no_cache() -> None:
-    """Serve's implicit planner cache inside the seam: none."""
-    return None
-
-
 #: ``(owner, attribute, oracle value)`` for every production attribute
-#: :func:`installed` replaces.  The oracle forms come first; the last
-#: two entries switch the implicit memos off (``None`` process compile
-#: cache, no planner-owned cache).  The greedy placement memo and the
-#: NoC ``lru_cache`` s sit behind production forms replaced above, so
-#: they see no traffic inside the seam.
+#: :func:`installed` replaces.  The oracle forms come first, then the
+#: uncached ``IncrementalCompiler.compile``; the last entry switches
+#: every implicit memo off at once (``None`` process compile cache:
+#: the duplication searches, segment densities, greedy placements and
+#: the planners' and runner's default cache all live there).  The NoC
+#: ``lru_cache`` s sit behind production forms replaced above, so they
+#: see no traffic inside the seam.
 SWAPS = (
     (NocSpec, "average_cost", average_cost),
     (NocSpec, "max_cost", max_cost),
@@ -533,7 +529,6 @@ SWAPS = (
     (scale_partition, "_interval_matrix", interval_matrix),
     (IncrementalCompiler, "compile", _compile_uncached),
     (perf_cache, "PROCESS_CACHE", None),
-    (partition, "_implicit_cache", _no_cache),
 )
 
 

@@ -49,19 +49,6 @@ from .schedule import OpDecision, Schedule
 # ---------------------------------------------------------------------------
 
 
-def _search_cache(cache: Optional["CompileCache"]
-                  ) -> Optional["CompileCache"]:
-    """The cache a duplication search or segment density should use:
-    the caller's, else the process-wide
-    :data:`repro.perf.cache.PROCESS_CACHE`.
-
-    Both are pure functions of ``(profile tuple, budget)`` (frozen
-    dataclasses carrying every quantity they read), so sharing one
-    memo across otherwise uncached compilations is value-exact.
-    """
-    return perf_cache.PROCESS_CACHE if cache is None else cache
-
-
 def _memoized_dups(cache: "CompileCache", key: Tuple,
                    profiles: Sequence[OpProfile],
                    searched: Sequence[OpProfile], search
@@ -178,7 +165,7 @@ def duplicate_min_total(profiles: Sequence[OpProfile], budget: int,
     different answers.  Without an explicit cache the search falls back
     to the process-wide compile cache.
     """
-    cache = _search_cache(cache)
+    cache = perf_cache.resolve(cache)
     if cache is None:
         return _duplicate_min_total(profiles, budget, cache)
     key = ("min_total", budget, tuple(profiles),
@@ -365,7 +352,7 @@ def duplicate_min_bottleneck(profiles: Sequence[OpProfile],
     ignores names, so repeated layers under other names, or between
     other digital operators, share one entry.
     """
-    cache = _search_cache(cache)
+    cache = perf_cache.resolve(cache)
     if cache is None:
         return _duplicate_min_bottleneck(profiles, budget)
     cim = tuple(_searched(profiles))
@@ -601,7 +588,7 @@ def _segment_density(names: Sequence[str], profiles: Dict[str, OpProfile],
     one entry; the sequential one runs :func:`duplicate_min_total`,
     which can break ties on names, so its key keeps them.
     """
-    cache = _search_cache(cache)
+    cache = perf_cache.resolve(cache)
     key = None
     if cache is not None:
         key = ("density", arch.chip.core_number, pipelined,

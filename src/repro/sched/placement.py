@@ -29,16 +29,11 @@ import numpy as np
 from ..arch import ChipTier
 from ..arch.noc import hop_cost_array
 from ..errors import CapacityError, ScheduleError
+from ..perf import cache as perf_cache
 from .schedule import Schedule
 
 #: core assignment: node name -> list of physical core ids (all replicas).
 Placement = Dict[str, List[int]]
-
-#: Process-wide content-addressed memo of greedy placements, keyed on
-#: every input the algorithm reads and holding one core tuple per CIM
-#: operator position (see :func:`place_greedy`).  ``repro bench``
-#: clears it between runs.
-_GREEDY_MEMO: Dict[Tuple, Tuple[Tuple[int, ...], ...]] = {}
 
 
 def _resolve_region(schedule: Schedule,
@@ -225,13 +220,14 @@ def place_greedy(schedule: Schedule, segment: int = 0,
     The hop geometry comes from the process-wide
     :func:`~repro.arch.noc.hop_cost_array` memo, candidates are scored as
     array expressions, and whole placements are memoized in
-    :data:`_GREEDY_MEMO` on what the placer reads, with operators by
-    position: the chip's NoC and core count, each CIM operator's core
-    count, the CIM-to-CIM edges as ``(position, position, bits)``, each
-    operator's boundary bits when ``io_anchor`` is set, and ``region``,
-    ``die_cores`` and ``io_anchor``.  Segments that differ only in
-    operator names (repeated blocks, the same layers in another model)
-    share one placement.
+    :data:`~repro.perf.cache.PROCESS_CACHE` (unless it is ``None``) on
+    what the placer reads, with operators by position: the chip's NoC
+    and core count, each CIM operator's core count, the CIM-to-CIM edges
+    as ``(position, position, bits)``, each operator's boundary bits
+    when ``io_anchor`` is set, and ``region``, ``die_cores`` and
+    ``io_anchor``.  Segments that differ only in operator names
+    (repeated blocks, the same layers in another model) share one
+    placement.
     """
     cores = _resolve_region(schedule, region)
     names = _segment_cim_nodes(schedule, segment)
@@ -244,11 +240,13 @@ def place_greedy(schedule: Schedule, segment: int = 0,
         tuple(_io_traffic_bits(schedule, name) for name in names)
     key = (chip.core_noc, chip.core_number, needs, edges, io_bits,
            None if region is None else tuple(region), die_cores, io_anchor)
-    hit = _GREEDY_MEMO.get(key)
+    cache = perf_cache.PROCESS_CACHE
+    hit = None if cache is None else cache.get_placement(key)
     if hit is None:
         hit = _place_greedy(chip, cores, needs, edges, io_bits, die_cores,
                             io_anchor, segment, names)
-        _GREEDY_MEMO[key] = hit
+        if cache is not None:
+            cache.put_placement(key, hit)
     return {name: list(chosen) for name, chosen in zip(names, hit)}
 
 

@@ -29,7 +29,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 from ..errors import ScheduleError
 from .partition import ServingPlan, TenantPlan
 from .report import ServeReport, build_report
-from .workload import Request
+from .workload import Request, _require_positive
 
 #: Event kinds shared by the serve and fleet engines.  Ordering ties on
 #: the heap are broken by the per-loop sequence number, never by kind.
@@ -492,6 +492,7 @@ class ServingEngine:
         digest incorporates the trace digest, so a recorded run is
         verifiably the run that was analyzed.
         """
+        _require_positive("slo_factor", slo_factor)
         core = ReplicaCore(self.plan, self.policy, max_queue=self.max_queue,
                            recorder=recorder)
         for req in trace:

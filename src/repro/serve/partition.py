@@ -29,6 +29,7 @@ from ..errors import CapacityError, ScheduleError
 from ..graph import Graph
 from ..models import get_model
 from ..perf import CompileCache
+from ..perf import cache as perf_cache
 from ..sched import CIMMLC, CompilerOptions
 from ..sched.costs import CostModel
 from ..sched.placement import annotate_placement
@@ -37,12 +38,6 @@ from .workload import TenantSpec
 
 #: Serving plan modes.
 MODES = ("spatial", "temporal")
-
-
-def _implicit_cache() -> Optional[CompileCache]:
-    """A planner-owned :class:`~repro.perf.CompileCache`, used when the
-    caller passes no ``cache=``."""
-    return CompileCache()
 
 
 @dataclass(frozen=True)
@@ -335,8 +330,9 @@ def plan_spatial(arch: CIMArchitecture, specs: Sequence[TenantSpec],
     on measured service intervals) unless ``alloc`` pins them explicitly;
     each tenant is compiled for its region's core count and (optionally)
     placed onto the region's physical cores with the communication-aware
-    greedy placement.  One :class:`~repro.perf.CompileCache` (supplied
-    or created here) is shared by every water-filling compilation.
+    greedy placement.  Every water-filling compilation runs through one
+    :class:`~repro.perf.CompileCache`: the caller's ``cache``, else the
+    process-wide one (:func:`~repro.perf.cache.resolve`).
 
     With a ``power_budget`` the allocation is then shrunk by
     :func:`fit_power_budget` until the tenants' summed peak power fits —
@@ -345,7 +341,7 @@ def plan_spatial(arch: CIMArchitecture, specs: Sequence[TenantSpec],
     :class:`~repro.errors.CapacityError` when the mix cannot fit even at
     residency floors.
     """
-    cache = cache or _implicit_cache()
+    cache = perf_cache.resolve(cache)
     graphs = resolve_graphs(specs)
     floors = {s.name: min_cores(graphs[s.name], arch, cache=cache)
               for s in specs}
@@ -422,7 +418,7 @@ def plan_temporal(arch: CIMArchitecture, specs: Sequence[TenantSpec],
     (:class:`~repro.errors.CapacityError` — spatial partitioning can
     reshape instead).
     """
-    cache = cache or _implicit_cache()
+    cache = perf_cache.resolve(cache)
     graphs = resolve_graphs(specs)
     tenants: List[TenantPlan] = []
     if core_pool is not None:
@@ -492,7 +488,7 @@ def plan_sharded(system: "MultiChipSystem", specs: Sequence[TenantSpec],
     """
     from ..scale import min_chips, shard
 
-    cache = cache or _implicit_cache()
+    cache = perf_cache.resolve(cache)
     graphs = resolve_graphs(specs)
     floor_cm = CostModel(system.chip, cache=cache)
     floors = {s.name: min_chips(graphs[s.name], system.chip,

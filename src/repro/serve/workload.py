@@ -44,6 +44,13 @@ import numpy as np
 from ..errors import ScheduleError
 
 
+def _require_positive(what: str, value: float) -> None:
+    """Raise :class:`ScheduleError` unless an SLO value is finite and
+    > 0 (no other latency SLO can be met or missed meaningfully)."""
+    if not (math.isfinite(value) and value > 0):
+        raise ScheduleError(f"{what} must be finite and > 0, got {value}")
+
+
 @dataclass(frozen=True)
 class TenantSpec:
     """One co-resident model population.
@@ -62,6 +69,9 @@ class TenantSpec:
         if self.weight <= 0:
             raise ScheduleError(
                 f"tenant {self.name!r}: weight must be positive")
+        if self.slo_cycles is not None:
+            _require_positive(f"tenant {self.name!r}: slo_cycles",
+                              self.slo_cycles)
 
 
 class Request(NamedTuple):

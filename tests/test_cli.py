@@ -247,6 +247,19 @@ class TestServe:
         assert "spatial p99" in out and "temporal p99" in out
         assert "200.00" in out and "500.00" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--arch", "functional-testbed", "--tenants", "mlp",
+         "--requests", "10", "--slo-factor", "-1"],
+        ["fleet", "--arch", "functional-testbed", "--tenants", "mlp",
+         "--requests", "50", "--replicas", "2", "--slo-factor", "0"],
+    ])
+    def test_meaningless_slo_factor_exits_with_one_line(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert str(exc.value.code).startswith(
+            "slo_factor must be finite and > 0")
+        assert "\n" not in str(exc.value.code)
+
     def test_bad_batch_policy(self):
         with pytest.raises(SystemExit, match="bad batch policy"):
             main(self.ARGS[:-2] + ["--batch", "warp:9"])

@@ -418,6 +418,13 @@ class TestFleetEngine:
             with pytest.raises(ScheduleError, match=message):
                 simulate_fleet(fleet(2), trace, **kw)
 
+    @pytest.mark.parametrize("factor",
+                             [0.0, -1.0, float("nan"), float("inf")])
+    def test_slo_factor_must_be_finite_and_positive(self, factor):
+        with pytest.raises(ScheduleError,
+                           match="slo_factor must be finite and > 0"):
+            simulate_fleet(fleet(2), requests("a", 0.0), slo_factor=factor)
+
     def test_autoscaler_floor_must_fit_fleet(self):
         with pytest.raises(ScheduleError):
             simulate_fleet(fleet(2), [],

@@ -84,12 +84,21 @@ def _report_fields(report):
     }
 
 
+def _plan_parts(plan):
+    """A serving plan as comparable values: per tenant its spec, cores,
+    service profile, scheduling decisions and placed cores."""
+    return [(t.spec, t.cores, t.service, t.schedule.to_dict(),
+             {n.name: n.annotations.get("cores_placed")
+              for n in t.schedule.graph.nodes})
+            for t in plan.tenants]
+
+
 def _memo_state():
-    """Entry and hit counts of every implicit process memo."""
-    lrus = (noc._average_cost, noc._max_cost, noc.hop_cost_array)
+    """Entry and hit counts of every implicit process memo (the greedy
+    placements are a layer of ``PROCESS_CACHE``)."""
+    lrus = (noc._average_cost, noc.hop_cost_array)
     return (perf_cache.PROCESS_CACHE.stats(),
-            [(f.cache_info().hits, f.cache_info().currsize) for f in lrus],
-            len(placement._GREEDY_MEMO))
+            [(f.cache_info().hits, f.cache_info().currsize) for f in lrus])
 
 
 class TestReferenceSeam:
@@ -170,6 +179,31 @@ class TestReferenceSeam:
                            for n in names):
                         offenders.append((rel, "imports the oracle"))
         assert offenders == []
+
+    def test_only_the_noc_memos_use_functools(self):
+        # Implicit memos live in the process compile cache; the NoC
+        # cost aggregates are the one lru_cache exception.
+        users = set()
+        for dirpath, _, files in os.walk(os.path.join(SRC, "repro")):
+            for name in files:
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(dirpath, name)
+                with open(path) as fh:
+                    tree = ast.parse(fh.read())
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.ImportFrom) \
+                            and node.module == "functools":
+                        used = {a.name for a in node.names}
+                    elif isinstance(node, ast.Attribute) \
+                            and isinstance(node.value, ast.Name) \
+                            and node.value.id == "functools":
+                        used = {node.attr}
+                    else:
+                        continue
+                    if used & {"lru_cache", "cache"}:
+                        users.add(os.path.relpath(path, SRC))
+        assert users == {os.path.join("repro", "arch", "noc.py")}
 
 
 class TestNocKernelEquality:
@@ -629,6 +663,46 @@ class TestCompileCache:
         clear_process_caches()
         assert process.stats() == CompileCache().stats()
 
+    def test_placement_layer_counts_and_clears(self, monkeypatch):
+        cache = CompileCache()
+        monkeypatch.setattr(perf_cache, "PROCESS_CACHE", cache)
+        schedule = CIMMLC(functional_testbed()).schedule(lenet())
+        first = place_greedy(schedule)
+        assert place_greedy(schedule) == first
+        stats = cache.stats()
+        assert (stats["placement_misses"], stats["placement_hits"],
+                stats["placements_stored"]) == (1, 1, 1)
+        cache.clear()
+        assert cache.stats() == CompileCache().stats()
+        # With the process cache off, production places from scratch
+        # every time and stores nothing.
+        bodies = []
+        body = placement._place_greedy
+        monkeypatch.setattr(placement, "_place_greedy",
+                            lambda *args: bodies.append(1) or body(*args))
+        monkeypatch.setattr(perf_cache, "PROCESS_CACHE", None)
+        assert place_greedy(schedule) == place_greedy(schedule) == first
+        assert len(bodies) == 2
+        assert cache.stats() == CompileCache().stats()
+
+    def test_planners_compile_through_the_process_cache(self):
+        # With no cache= the serve planners use the process cache, so a
+        # second identical plan reuses the first plan's profiles and
+        # duplication searches.
+        from repro.perf.bench import clear_process_caches
+
+        specs = [TenantSpec("lenet", "lenet", 2.0), TenantSpec("mlp", "mlp")]
+        clear_process_caches()
+        first = plan_spatial(functional_testbed(), specs)
+        process = perf_cache.PROCESS_CACHE
+        before = process.stats()
+        second = plan_spatial(functional_testbed(), specs)
+        after = process.stats()
+        assert _plan_parts(first) == _plan_parts(second)
+        assert after["profile_hits"] > before["profile_hits"]
+        assert after["dup_misses"] == before["dup_misses"]
+        clear_process_caches()
+
 
 def _changed(value):
     """A different value of an ``OpProfile`` field's type."""
@@ -721,7 +795,7 @@ class TestNameFreeKeys:
             assert cache.density_misses == misses + 1
 
     def test_repeated_segments_share_one_placement(self, monkeypatch):
-        monkeypatch.setattr(placement, "_GREEDY_MEMO", {})
+        monkeypatch.setattr(perf_cache, "PROCESS_CACHE", CompileCache())
         bodies = []
         body = placement._place_greedy
 
@@ -753,7 +827,7 @@ class TestNameFreeKeys:
         # edges) and a chain whose wide middle output is also a graph
         # output (other boundary bits).  A leading ReLU keeps the first
         # CIM operator off the I/O anchor.
-        monkeypatch.setattr(placement, "_GREEDY_MEMO", {})
+        monkeypatch.setattr(perf_cache, "PROCESS_CACHE", CompileCache())
 
         def three_gemms(fan_out=False, tap=False):
             b = GraphBuilder("three-gemms")

@@ -107,6 +107,13 @@ class TestTraces:
         with pytest.raises(ScheduleError):
             TenantSpec("x", "mlp", weight=0.0)
 
+    @pytest.mark.parametrize("slo", [0.0, -5.0, float("nan"), float("inf")])
+    def test_tenant_slo_cycles_must_be_finite_and_positive(self, slo):
+        with pytest.raises(ScheduleError,
+                           match="'x': slo_cycles must be finite and > 0"):
+            TenantSpec("x", "mlp", slo_cycles=slo)
+        assert TenantSpec("x", "mlp", slo_cycles=1.0).slo_cycles == 1.0
+
 
 # ---------------------------------------------------------------------------
 # Batching policies
@@ -221,6 +228,14 @@ class TestEngine:
         plan = synthetic_plan(tenants=("a",))
         with pytest.raises(ScheduleError):
             ServingEngine(plan, FixedBatch(1)).run(requests("ghost", 0.0))
+
+    @pytest.mark.parametrize("factor",
+                             [0.0, -1.0, float("nan"), float("inf")])
+    def test_slo_factor_must_be_finite_and_positive(self, factor):
+        engine = ServingEngine(synthetic_plan(), FixedBatch(1))
+        with pytest.raises(ScheduleError,
+                           match="slo_factor must be finite and > 0"):
+            engine.run(requests("a", 0.0), slo_factor=factor)
 
     def test_flush_timers_do_not_multiply_on_a_shared_executor(
             self, monkeypatch):
