@@ -74,20 +74,29 @@ class ChipLink:
     energy_per_bit: float = 0.015
 
     def __post_init__(self) -> None:
-        """Validate positive bandwidth and non-negative overheads."""
-        if self.bandwidth_bits <= 0:
+        """Validate finite parameters: bandwidth > 0, latency and energy
+        per bit >= 0, serialization overhead >= 1 (NaN passes every sign
+        test, so finiteness is checked explicitly)."""
+        if not (math.isfinite(self.bandwidth_bits)
+                and self.bandwidth_bits > 0):
             raise ArchitectureError(
-                f"link bandwidth must be positive, got {self.bandwidth_bits}")
-        if self.latency_cycles < 0:
+                f"link bandwidth must be finite and positive, got "
+                f"{self.bandwidth_bits}")
+        if not (math.isfinite(self.latency_cycles)
+                and self.latency_cycles >= 0):
             raise ArchitectureError(
-                f"link latency must be >= 0, got {self.latency_cycles}")
-        if self.serialization_overhead < 1.0:
+                f"link latency must be finite and >= 0, got "
+                f"{self.latency_cycles}")
+        if not (math.isfinite(self.serialization_overhead)
+                and self.serialization_overhead >= 1.0):
             raise ArchitectureError(
-                f"serialization_overhead must be >= 1, got "
+                f"serialization_overhead must be finite and >= 1, got "
                 f"{self.serialization_overhead}")
-        if self.energy_per_bit < 0:
+        if not (math.isfinite(self.energy_per_bit)
+                and self.energy_per_bit >= 0):
             raise ArchitectureError(
-                f"energy_per_bit must be >= 0, got {self.energy_per_bit}")
+                f"energy_per_bit must be finite and >= 0, got "
+                f"{self.energy_per_bit}")
 
     def serialization_cycles(self, bits: float) -> float:
         """Cycles the channel is *occupied* pushing ``bits`` through one

@@ -528,13 +528,18 @@ def interval_table(cores: Sequence[int], loads: Sequence[float],
       ``np.searchsorted`` finds where the scalar downward scan breaks;
     * ``floor`` is a running ``max`` of the (non-negative) floors and
       ``hi`` a ``max`` of ``load / cores`` — exact in any order;
-    * ``cores_at(T)`` folds only the CIM rows of the stage.  Stages are
-      sorted by CIM count into end-aligned ``(width x stages)`` blocks
-      of at most :data:`INTERVAL_BLOCK` elements, zero-padded at the
-      top, and ``np.add.accumulate`` down each column adds the same
+    * a search reads only the stage's CIM rows ``[lead, tail)`` and its
+      ``lo`` (``hi`` is the larger of ``lo`` and those rows' largest
+      ``load / cores``), so there is one search per distinct (CIM rows,
+      ``lo``): ``np.lexsort`` groups the stages that share both, and
+      the result is scattered back to every member;
+    * ``cores_at(T)`` folds only the CIM rows of the stage.  Searches
+      are sorted by CIM count into end-aligned ``(width x stages)``
+      blocks of at most :data:`INTERVAL_BLOCK` elements, zero-padded at
+      the top, and ``np.add.accumulate`` down each column adds the same
       ``max(c, load / T)`` terms left to right (leading ``0.0`` terms
       leave the fold unchanged);
-    * each stage keeps the early ``lo`` return and the 48
+    * each search keeps the early ``lo`` return and the 48
       ``(lo + hi) / 2`` steps of the scalar search.
     """
     n = len(cores)
@@ -576,8 +581,16 @@ def interval_table(cores: Sequence[int], loads: Sequence[float],
     value = np.where(count > 0, hi, floor)
     c_pad = np.concatenate(([0.0], c[is_cim]))
     load_pad = np.concatenate(([0.0], load[is_cim]))
-    by_width = np.flatnonzero(count > 0)
-    by_width = by_width[np.argsort(count[by_width], kind="stable")]
+    # One search per distinct (count, lead, lo), narrowest first;
+    # opens[k] marks the first stage of its group in sorted order.
+    searched = np.flatnonzero(count > 0)
+    order = searched[np.lexsort((lo[searched], lead[searched],
+                                 count[searched]))]
+    opens = np.zeros(order.size, dtype=bool)
+    opens[:1] = True
+    for key in (count[order], lead[order], lo[order]):
+        opens[1:] |= key[1:] != key[:-1]
+    by_width = order[opens]
     done = 0
     while done < by_width.size:
         widths = count[by_width[done:done + INTERVAL_BLOCK]]
@@ -589,6 +602,7 @@ def interval_table(cores: Sequence[int], loads: Sequence[float],
         rows = np.where(rows >= lead[block][None, :], rows + 1, 0)
         value[block] = _bisect_block(c_pad[rows], load_pad[rows],
                                      lo[block], hi[block], budget)
+    value[order] = value[by_width][np.cumsum(opens) - 1]
     table[starts, ends] = value
     return table
 

@@ -432,6 +432,44 @@ def interval_matrix(ops: Sequence[OpProfile], arch: CIMArchitecture,
     return mat
 
 
+def best_bounds(tables: Sequence, cuts: Sequence[int]
+                ) -> Optional[List[int]]:
+    """Scalar ``scale.partition._best_bounds``: the DP over boundary
+    positions as a Python loop over every ``(k, i, j)`` triple, keeping
+    the first ``j`` of the lexicographically smallest ``(max interval,
+    cut bits)`` candidate."""
+    stages_wanted = len(tables)
+    n = len(cuts) - 1
+    inf = (math.inf, math.inf)
+    # best[k][i]: minimal (max predicted interval, cut_bits) splitting
+    # order[:i] into k feasible stages; choice[k][i] the previous boundary.
+    best = [[inf] * (n + 1) for _ in range(stages_wanted + 1)]
+    choice = [[-1] * (n + 1) for _ in range(stages_wanted + 1)]
+    best[0][0] = (0.0, 0.0)
+    for k in range(1, stages_wanted + 1):
+        interval = tables[k - 1]
+        for i in [n] if k == stages_wanted else range(k, n + 1):
+            for j in range(k - 1, i):
+                prev = best[k - 1][j]
+                if prev == inf or interval[j][i] == math.inf:
+                    continue
+                cand = (max(prev[0], interval[j][i]),
+                        prev[1] + (cuts[j] if j > 0 else 0))
+                if cand < best[k][i]:
+                    best[k][i] = cand
+                    choice[k][i] = j
+    if best[stages_wanted][n] == inf:
+        return None
+    bounds: List[int] = []
+    i = n
+    for k in range(stages_wanted, 0, -1):
+        bounds.append(i)
+        i = choice[k][i]
+    bounds.append(0)
+    bounds.reverse()
+    return bounds
+
+
 # ---------------------------------------------------------------------------
 # Serve/fleet event loop
 # ---------------------------------------------------------------------------
@@ -527,6 +565,7 @@ SWAPS = (
     (performance, "_segment_latencies", segment_latencies),
     (placement, "place_greedy", place_greedy),
     (scale_partition, "_interval_matrix", interval_matrix),
+    (scale_partition, "_best_bounds", best_bounds),
     (IncrementalCompiler, "compile", _compile_uncached),
     (perf_cache, "PROCESS_CACHE", None),
 )

@@ -16,12 +16,14 @@ The partitioner splits the topological operator order into contiguous
 
 Contiguous splits keep stage ``i`` -> ``i+1`` traffic on adjacent chips of
 a ring, which is why the dynamic program optimizes boundary positions
-(exactly) rather than arbitrary node sets.  The DP itself makes
-O(nodes^2 x chips) table lookups; the table it reads — one 48-step
-bisection per fitting stage, O(nodes^2 x stage length x 48) float
-operations in scalar form — is what dominated, so
-:func:`repro.perf.kernels.interval_table` evaluates it as array math,
-and only for the pairs the DP reads.
+(exactly) rather than arbitrary node sets.  The table it reads holds
+the predicted interval of every fitting stage, one 48-step bisection
+each in scalar form; :func:`repro.perf.kernels.interval_table` fills
+it as array math, only for the pairs the DP reads, and searches once
+per distinct (CIM rows, search floor), since stages that differ only in
+digital operators at their ends mostly search the same rows.  The DP
+(:func:`_best_bounds`) makes one array pass per chip over the table
+instead of a Python loop over every (boundary, boundary) pair.
 """
 
 from __future__ import annotations
@@ -65,9 +67,8 @@ def _load(p: OpProfile) -> float:
 
 
 def _interval_matrix(ops: Sequence[OpProfile], arch: CIMArchitecture,
-                     need: Optional[np.ndarray] = None
-                     ) -> List[List[float]]:
-    """interval[j][i]: predicted optimized interval of stage ``ops[j:i]``
+                     need: Optional[np.ndarray] = None) -> np.ndarray:
+    """interval[j, i]: predicted optimized interval of stage ``ops[j:i]``
     on ``arch`` (inf where it does not fit, or where ``need[j, i]`` is
     False).
 
@@ -87,7 +88,7 @@ def _interval_matrix(ops: Sequence[OpProfile], arch: CIMArchitecture,
         budget=max(1, arch.chip.core_number),
         max_cores=arch.chip.core_number,
         max_bits=arch.chip_capacity_bits,
-        need=need).tolist()
+        need=need)
 
 
 def boundary_cut_bits(graph: Graph, order: Sequence[str],
@@ -241,7 +242,8 @@ def partition_layers(graph: Graph, num_chips: int, arch: CIMArchitecture,
 
     def reads(layers: Sequence[int]) -> np.ndarray:
         """The (j, i) entries DP ``layers`` read: layer 1 only row 0
-        (every other ``best[0][j]`` is inf), the last only column n."""
+        (no other boundary precedes a first stage), the last only
+        column n."""
         need = np.zeros((n, n + 1), dtype=bool)
         for k in layers:
             rows = slice(0, 1) if k == 1 else slice(None)
@@ -258,7 +260,7 @@ def partition_layers(graph: Graph, num_chips: int, arch: CIMArchitecture,
         # shape share the tables.
         sigs = [(a.chip.core_number, a.core.xb_number, a.chip_capacity_bits)
                 for a in chip_archs[:stages_wanted]]
-        by_sig: Dict[Tuple, List[List[float]]] = {}
+        by_sig: Dict[Tuple, np.ndarray] = {}
         for a, sig in zip(chip_archs, sigs):
             if sig not in by_sig:
                 profiles = CostModel(a).profiles(graph)
@@ -267,25 +269,8 @@ def partition_layers(graph: Graph, num_chips: int, arch: CIMArchitecture,
                     [profiles[name] for name in order], a, reads(layers))
         mats = [by_sig[sig] for sig in sigs]
 
-    inf = (math.inf, math.inf)
-    # best[k][i]: minimal (max predicted interval, cut_bits) splitting
-    # order[:i] into k feasible stages; choice[k][i] the previous boundary.
-    best = [[inf] * (n + 1) for _ in range(stages_wanted + 1)]
-    choice = [[-1] * (n + 1) for _ in range(stages_wanted + 1)]
-    best[0][0] = (0.0, 0.0)
-    for k in range(1, stages_wanted + 1):
-        interval = mats[k - 1]
-        for i in [n] if k == stages_wanted else range(k, n + 1):
-            for j in range(k - 1, i):
-                prev = best[k - 1][j]
-                if prev == inf or interval[j][i] == math.inf:
-                    continue
-                cand = (max(prev[0], interval[j][i]),
-                        prev[1] + (cuts[j] if j > 0 else 0))
-                if cand < best[k][i]:
-                    best[k][i] = cand
-                    choice[k][i] = j
-    if best[stages_wanted][n] == inf:
+    bounds = _best_bounds(mats, cuts)
+    if bounds is None:
         if chip_archs is not None:
             raise CapacityError(
                 f"no feasible {stages_wanted}-stage partition of "
@@ -298,15 +283,64 @@ def partition_layers(graph: Graph, num_chips: int, arch: CIMArchitecture,
         # already raised — so this is defensive).
         raise CapacityError(  # pragma: no cover
             f"no feasible {stages_wanted}-stage partition of {graph.name}")
-
-    bounds: List[int] = []
-    i = n
-    for k in range(stages_wanted, 0, -1):
-        bounds.append(i)
-        i = choice[k][i]
-    bounds.append(0)
-    bounds.reverse()
     return [order[bounds[s]:bounds[s + 1]] for s in range(stages_wanted)]
+
+
+def _best_bounds(tables: Sequence[np.ndarray], cuts: Sequence[int]
+                 ) -> Optional[List[int]]:
+    """Boundaries ``0 = b_0 < b_1 < ... < b_K = n`` of the best split
+    into ``K = len(tables)`` stages, or ``None`` when none is feasible.
+
+    Stage ``k`` covers ``[b_{k-1}, b_k)`` and reads its interval from
+    ``tables[k-1]`` (an ``(n, n + 1)`` table, ``inf`` where the stage
+    does not fit); the split minimizes ``(max stage interval, sum of
+    cuts[b_k] over the inner boundaries)`` lexicographically.  One array
+    pass per DP layer: every reachable previous boundary ``j`` against
+    every end ``i``, with the first ``j`` winning exact ties, so the
+    result equals the scalar loop's
+    (:func:`repro.perf.reference.best_bounds`).  The first layer reads
+    only ``j = 0`` and the last only ``i = n``.
+    """
+    stages = len(tables)
+    n = len(cuts) - 1
+    cut = np.array(cuts, dtype=np.float64)
+    cut[0] = 0.0
+    # worst[j], total[j]: the best (max interval, cut bits) splitting
+    # order[:j] into the stages placed so far, inf where no split
+    # reaches j; choice[k, i]: the previous boundary of the best
+    # k-stage split of order[:i].
+    worst = np.full(n + 1, math.inf)
+    total = np.full(n + 1, math.inf)
+    worst[0] = total[0] = 0.0
+    choice = np.full((stages + 1, n + 1), -1)
+    for k in range(1, stages + 1):
+        rows = np.flatnonzero(np.isfinite(worst[:n]))
+        if rows.size == 0:
+            return None
+        ends = np.arange(n if k == stages else k, n + 1)
+        table = np.asarray(tables[k - 1], dtype=np.float64)
+        interval = table[rows[:, None], ends[None, :]]
+        valid = (interval != math.inf) & (rows[:, None] < ends[None, :])
+        peak = np.where(valid, np.maximum(worst[rows, None], interval),
+                        math.inf)
+        low = peak.min(axis=0)
+        tied = valid & (peak == low)
+        cost = np.where(tied, (total[rows] + cut[rows])[:, None], math.inf)
+        least = cost.min(axis=0)
+        pick = tied & (cost == least)
+        found = pick.any(axis=0)
+        worst = np.full(n + 1, math.inf)
+        total = np.full(n + 1, math.inf)
+        worst[ends[found]] = low[found]
+        total[ends[found]] = least[found]
+        choice[k, ends[found]] = rows[pick.argmax(axis=0)[found]]
+    if not np.isfinite(worst[n]):
+        return None
+    bounds = [n]
+    for k in range(stages, 0, -1):
+        bounds.append(int(choice[k, bounds[-1]]))
+    bounds.reverse()
+    return bounds
 
 
 def stage_transfers(graph: Graph, stages: Sequence[Sequence[str]]

@@ -45,8 +45,9 @@ from ..errors import ScheduleError
 
 
 def _require_positive(what: str, value: float) -> None:
-    """Raise :class:`ScheduleError` unless an SLO value is finite and
-    > 0 (no other latency SLO can be met or missed meaningfully)."""
+    """Raise :class:`ScheduleError` unless ``value`` is finite and > 0:
+    a zero, negative, NaN or infinite SLO, tenant weight or arrival
+    rate gives no meaningful run."""
     if not (math.isfinite(value) and value > 0):
         raise ScheduleError(f"{what} must be finite and > 0, got {value}")
 
@@ -66,9 +67,7 @@ class TenantSpec:
     slo_cycles: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ScheduleError(
-                f"tenant {self.name!r}: weight must be positive")
+        _require_positive(f"tenant {self.name!r}: weight", self.weight)
         if self.slo_cycles is not None:
             _require_positive(f"tenant {self.name!r}: slo_cycles",
                               self.slo_cycles)
@@ -92,8 +91,7 @@ def _validate(tenants: Sequence[TenantSpec], rate: float,
         raise ScheduleError("trace needs at least one tenant")
     if len({t.name for t in tenants}) != len(tenants):
         raise ScheduleError("tenant names must be unique")
-    if rate <= 0:
-        raise ScheduleError(f"arrival rate must be positive, got {rate}")
+    _require_positive("arrival rate", rate)
     if num_requests < 0:
         raise ScheduleError(f"num_requests must be >= 0, got {num_requests}")
 

@@ -195,6 +195,15 @@ class TestShard:
             main(["shard", "--arch", "jain2021", "--model", "vgg7",
                   "--chips", "1"])
 
+    @pytest.mark.parametrize("flag", ["--link-bw", "--link-latency"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_link_exits_with_one_line(self, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["shard", "--arch", "functional-testbed", "--model",
+                  "lenet", "--chips", "2", flag, value])
+        assert "must be finite" in str(exc.value.code)
+        assert "\n" not in str(exc.value.code)
+
     def test_sweep_chips_axis(self, capsys):
         main(["sweep", "--model", "lenet", "--preset", "isaac-baseline",
               "--vary", "chips=1,2", "--levels", "CG", "--no-cache"])
@@ -258,6 +267,23 @@ class TestServe:
             main(argv)
         assert str(exc.value.code).startswith(
             "slo_factor must be finite and > 0")
+        assert "\n" not in str(exc.value.code)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--tenants", "mlp:nan,lenet", "--requests", "20"],
+         "tenant 'mlp': weight must be finite and > 0"),
+        (["--tenants", "mlp:inf,lenet", "--requests", "20"],
+         "tenant 'mlp': weight must be finite and > 0"),
+        (["--tenants", "mlp", "--requests", "10", "--rate", "nan"],
+         "arrival rate must be finite and > 0"),
+        (["--tenants", "mlp", "--requests", "10", "--rate", "inf"],
+         "arrival rate must be finite and > 0"),
+    ])
+    def test_non_finite_weight_or_rate_exits_with_one_line(self, argv,
+                                                           message):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--arch", "functional-testbed", *argv])
+        assert str(exc.value.code).startswith(message)
         assert "\n" not in str(exc.value.code)
 
     def test_bad_batch_policy(self):

@@ -547,12 +547,40 @@ class TestPartitionKernelEquality:
     def test_interval_table_matches_the_scalar_bisection(
             self, draws, core_number, need_seed):
         ops, arch = _interval_case(draws, core_number)
-        assert scale_partition._interval_matrix(ops, arch) == \
+        assert scale_partition._interval_matrix(ops, arch).tolist() == \
             reference.interval_matrix(ops, arch)
         need = np.random.default_rng(need_seed).random(
             (len(ops), len(ops) + 1)) < 0.5
-        assert scale_partition._interval_matrix(ops, arch, need) == \
-            reference.interval_matrix(ops, arch, need)
+        assert scale_partition._interval_matrix(ops, arch, need).tolist() \
+            == reference.interval_matrix(ops, arch, need)
+
+    def test_stages_sharing_cim_rows_keep_their_own_floor(self):
+        # Stages [0, 3) and [1, 3) fold the same two CIM rows, but the
+        # digital ops[0] raises the first one's floor to 500 cycles,
+        # where it fits at once; [1, 3) has to bisect below that.
+        ops, arch = _interval_case(
+            [(False, 0.0, 0, 1, 500.0, 0.0, 0.0),
+             (True, 0.2, 100, 10, 0.0, 0.0, 0.1),
+             (True, 0.2, 100, 10, 0.0, 0.0, 0.1)], core_number=10)
+        fast = scale_partition._interval_matrix(ops, arch)
+        oracle = reference.interval_matrix(ops, arch)
+        assert fast[0, 3] == oracle[0][3] == 500.0
+        assert fast[1, 3] == oracle[1][3] < 500.0
+        assert fast.tolist() == oracle
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 12), stages=st.integers(1, 5),
+           fits=st.floats(0.1, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_split_dp_matches_the_scalar_loop(self, n, stages, fits, seed):
+        # Entries from four finite values, inf elsewhere, and cuts of
+        # 0-3 bits: exact ties in both objective terms are common.
+        rng = np.random.default_rng(seed)
+        tables = [np.where(rng.random((n, n + 1)) < fits,
+                           rng.choice([1.0, 2.0, 2.5, 4.0], (n, n + 1)),
+                           math.inf) for _ in range(stages)]
+        cuts = rng.integers(0, 4, n + 1).tolist()
+        assert scale_partition._best_bounds(tables, cuts) == \
+            reference.best_bounds([t.tolist() for t in tables], cuts)
 
     @pytest.mark.parametrize("model", ["lenet", "mlp", "tiny-conv",
                                        "resnet18", "mobilenet"])

@@ -56,6 +56,14 @@ class TestChipLink:
         with pytest.raises(ArchitectureError):
             ChipLink(serialization_overhead=0.5)
 
+    @pytest.mark.parametrize("field", ["bandwidth_bits", "latency_cycles",
+                                       "serialization_overhead",
+                                       "energy_per_bit"])
+    def test_parameters_must_be_finite(self, field):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ArchitectureError, match="must be finite"):
+                ChipLink(**{field: value})
+
     def test_topology_hops(self):
         chip = functional_testbed()
         ring = MultiChipSystem(chip, 4, topology="ring")

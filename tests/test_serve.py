@@ -34,7 +34,7 @@ from repro.serve import (
     tenant_counts,
 )
 from repro.serve import engine as engine_mod
-from repro.serve.workload import Request
+from repro.serve.workload import TRACES, Request
 
 SMALL_TENANTS = [TenantSpec("lenet", "lenet", weight=2.0),
                  TenantSpec("mlp", "mlp", weight=1.0)]
@@ -113,6 +113,19 @@ class TestTraces:
                            match="'x': slo_cycles must be finite and > 0"):
             TenantSpec("x", "mlp", slo_cycles=slo)
         assert TenantSpec("x", "mlp", slo_cycles=1.0).slo_cycles == 1.0
+
+    def test_tenant_weight_must_be_finite_and_positive(self):
+        for weight in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ScheduleError,
+                               match="'x': weight must be finite and > 0"):
+                TenantSpec("x", "mlp", weight=weight)
+
+    @pytest.mark.parametrize("kind", sorted(TRACES))
+    def test_arrival_rate_must_be_finite_and_positive(self, kind):
+        for rate in (0.0, -1e-4, float("nan"), float("inf")):
+            with pytest.raises(ScheduleError,
+                               match="arrival rate must be finite and > 0"):
+                make_trace(kind, SMALL_TENANTS, rate, 10)
 
 
 # ---------------------------------------------------------------------------
