@@ -3,7 +3,7 @@
 oracles.
 
 Compiles every zoo model on every preset, and on ``isaac-baseline``
-resized to each of ``CORES``, and checks three things:
+resized to each of ``CORES``, and checks four things:
 
 * every call of the cached ``sched.cg.duplicate_min_bottleneck`` — memo
   hits as well as misses — against
@@ -12,18 +12,24 @@ resized to each of ``CORES``, and checks three things:
   boundary with ``BottleneckSearch.first_feasible``; the oracle runs the
   60 steps with a scalar cost loop.  Both must return equal duplication
   dicts, or raise ``CapacityError`` with equal messages;
+* each (architecture, graph) pair's ``CostModel.profiles`` — graph
+  facts derived once per graph, then priced — against the same call
+  inside :func:`repro.perf.reference.installed`, which derives every
+  node's profile from the graph again; names and every field must be
+  equal;
 * each compile's segmentation, per-operator decisions and performance
-  report against the same compile inside
-  :func:`repro.perf.reference.installed` (scalar kernels, no process
-  memos), which also covers the segment densities whose memo hits skip
-  the search.  Inside the seam this script serves the scalar
-  ``NocSpec.average_cost`` oracle from an ``lru_cache`` on
-  ``(spec, n)``: unmemoized, its double loop over core pairs runs once
-  per operator and takes minutes per model at 2048 cores.  The seam
-  puts the production method back on exit, and ``repro bench`` keeps
-  timing the unmemoized oracle;
+  report against the same compile inside the seam (scalar kernels,
+  pre-split profiles, no process memos), which also covers the segment
+  densities whose memo hits skip the search.  Inside the seam this
+  script serves the scalar ``NocSpec.average_cost`` oracle from an
+  ``lru_cache`` on ``(spec, n)``: unmemoized, its double loop over core
+  pairs runs once per operator and takes minutes per model at 2048
+  cores.  The seam puts the production method back on exit, and
+  ``repro bench`` keeps timing the unmemoized oracle;
 * each segment's ``place_greedy`` against
-  :func:`repro.perf.reference.place_greedy`.
+  :func:`repro.perf.reference.place_greedy` inside the seam, where the
+  CIM-to-CIM edges come from the per-segment walk
+  :func:`repro.perf.reference.edges` instead of the per-graph paths.
 
 Exits non-zero naming the first mismatch.  Takes about a minute on a
 2-vCPU host.
@@ -31,6 +37,7 @@ Exits non-zero naming the first mismatch.  Takes about a minute on a
 Usage: ``PYTHONPATH=src python scripts/check_search_oracle.py``
 """
 
+import dataclasses
 import functools
 import sys
 import time
@@ -41,6 +48,7 @@ from repro.errors import CapacityError
 from repro.models import MODEL_ZOO
 from repro.perf import reference
 from repro.sched import CIMMLC, cg
+from repro.sched.costs import CostModel, OpProfile
 from repro.sched.placement import place_greedy
 
 CORES = (8, 16, 64, 256, 512, 768, 1024, 2048)
@@ -83,6 +91,14 @@ def compiled(result):
             "report": result.report}
 
 
+def named(profiles):
+    """A profile dict as comparable parts: node name, profile name and
+    every field (``OpProfile`` equality ignores the name)."""
+    return [(key, p.name, [getattr(p, f.name)
+                           for f in dataclasses.fields(OpProfile)])
+            for key, p in profiles.items()]
+
+
 def archs():
     """``(label, architecture)`` per compile target."""
     for preset, arch_fn in PRESETS.items():
@@ -95,7 +111,7 @@ def archs():
 def main() -> int:
     start = time.perf_counter()
     production = cg.duplicate_min_bottleneck
-    searches = compiles = placements = 0
+    searches = profiled = compiles = placements = 0
 
     def checked(profiles, budget, cache=None):
         nonlocal searches
@@ -113,17 +129,31 @@ def main() -> int:
 
     for label, arch in archs():
         for model, factory in MODEL_ZOO.items():
+            graph = factory()
             cg.duplicate_min_bottleneck = checked
             try:
-                fast = outcome(CIMMLC(arch).compile, factory())
+                fast = outcome(CIMMLC(arch).compile, graph)
             except Mismatch as exc:
                 print(f"MISMATCH {model} on {label}, {exc}")
                 return 1
             finally:
                 cg.duplicate_min_bottleneck = production
+            profiles = named(CostModel(arch).profiles(graph))
+            schedule = None if isinstance(fast, CapacityError) \
+                else fast.schedule
+            segments = range(len(schedule.segments)) if schedule else ()
+            placed = [place_greedy(schedule, seg) for seg in segments]
             with reference.installed():
                 NocSpec.average_cost = memoized_average_cost
                 oracle = outcome(CIMMLC(arch).compile, factory())
+                oracle_profiles = named(CostModel(arch).profiles(graph))
+                oracle_placed = [reference.place_greedy(schedule, seg)
+                                 for seg in segments]
+            profiled += 1
+            if profiles != oracle_profiles:
+                print(f"MISMATCH {model} on {label}: profiles differ "
+                      f"from the pre-split derivation")
+                return 1
             compiles += 1
             parts, oracle_parts = compiled(fast), compiled(oracle)
             for part, value in parts.items():
@@ -131,19 +161,16 @@ def main() -> int:
                     print(f"MISMATCH {model} on {label}: {part} "
                           f"differs from the reference compile")
                     return 1
-            if isinstance(fast, CapacityError):
-                continue
-            schedule = fast.schedule
-            for seg in range(len(schedule.segments)):
+            for seg, (fast_seg, oracle_seg) in enumerate(
+                    zip(placed, oracle_placed)):
                 placements += 1
-                if place_greedy(schedule, seg) != \
-                        reference.place_greedy(schedule, seg):
+                if fast_seg != oracle_seg:
                     print(f"MISMATCH {model} on {label}: placement of "
                           f"segment {seg}")
                     return 1
-    print(f"search oracle check passed: {searches} searches, {compiles} "
-          f"compiles and {placements} placements identical "
-          f"({time.perf_counter() - start:.0f} s)")
+    print(f"search oracle check passed: {searches} searches, {profiled} "
+          f"profile dicts, {compiles} compiles and {placements} "
+          f"placements identical ({time.perf_counter() - start:.0f} s)")
     return 0
 
 

@@ -47,13 +47,16 @@ class CellType(enum.Enum):
     #: Relative write cost vs. a read, used by the performance simulator.
     @property
     def write_cost_ratio(self) -> float:
-        return {
-            CellType.SRAM: 1.0,
-            CellType.RERAM: 20.0,
-            CellType.FLASH: 100.0,
-            CellType.PCM: 40.0,
-            CellType.STT_MRAM: 8.0,
-        }[self]
+        return _WRITE_COST_RATIO[self]
+
+
+_WRITE_COST_RATIO = {
+    CellType.SRAM: 1.0,
+    CellType.RERAM: 20.0,
+    CellType.FLASH: 100.0,
+    CellType.PCM: 40.0,
+    CellType.STT_MRAM: 8.0,
+}
 
 
 def _check_positive(name: str, value) -> None:

@@ -252,6 +252,10 @@ def cmd_sweep(args) -> None:
         space = SweepSpace.grid(base, graph, vary, series=series)
         objectives = resolve_objectives(
             [o.strip() for o in args.objectives.split(",") if o.strip()])
+        if args.power_budget is not None:
+            from .serve.workload import _require_positive
+
+            _require_positive("power budget", args.power_budget)
     except Exception as exc:
         raise SystemExit(str(exc))
 

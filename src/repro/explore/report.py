@@ -53,9 +53,14 @@ def _annotate(records: List[Dict], sweep: SweepResult, pareto: bool,
 
     With a power budget the frontier is extracted over the feasible
     points only (an infeasible point can never be marked ``pareto``).
+    A zero, negative or non-finite budget raises
+    :class:`~repro.errors.ScheduleError`: no point could be feasible.
     """
     points = list(sweep)
     if power_budget is not None:
+        from ..serve.workload import _require_positive
+
+        _require_positive("power budget", power_budget)
         for record, r in zip(records, points):
             record["within_power_budget"] = r.peak_power <= power_budget
         points = [r for r in points if r.peak_power <= power_budget]

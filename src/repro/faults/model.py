@@ -26,6 +26,7 @@ True
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
@@ -83,9 +84,12 @@ class FaultModel:
         if not 0.0 < self.link_derate <= 1.0:
             raise CIMError(
                 f"link_derate must be in (0, 1], got {self.link_derate}")
-        if self.chip_death_time is not None and self.chip_death_time < 0:
+        if self.chip_death_time is not None and not (
+                math.isfinite(self.chip_death_time)
+                and self.chip_death_time >= 0):
             raise CIMError(
-                f"chip_death_time must be >= 0, got {self.chip_death_time}")
+                f"chip_death_time must be finite and >= 0, got "
+                f"{self.chip_death_time}")
         if self.chip_death_rid < 0:
             raise CIMError(
                 f"chip_death_rid must be >= 0, got {self.chip_death_rid}")

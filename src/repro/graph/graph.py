@@ -11,7 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from ..errors import GraphError, ShapeError
 from .node import Node
@@ -53,6 +54,7 @@ class Graph:
         self._by_name: Dict[str, Node] = {}
         self._topo_cache: Optional[List[Node]] = None
         self._sig_cache: Optional[str] = None
+        self._derived: Dict[str, Any] = {}
         self._reindex()
 
     # ------------------------------------------------------------------
@@ -67,6 +69,7 @@ class Graph:
                              f"conflicting specs")
         self.tensors[spec.name] = spec
         self._sig_cache = None
+        self._derived = {}
         return spec
 
     def add_node(self, node: Node) -> Node:
@@ -81,6 +84,7 @@ class Graph:
         self._by_name = {}
         self._topo_cache = None
         self._sig_cache = None
+        self._derived = {}
         names = set()
         for node in self.nodes:
             if node.name in names:
@@ -221,7 +225,8 @@ class Graph:
         Keys the explore disk cache and the in-process
         :class:`~repro.perf.CompileCache`.  The hash is computed once
         and invalidated by the structural mutation points
-        (:meth:`add_node` / :meth:`add_tensor` / :meth:`infer_shapes`);
+        (:meth:`add_node` / :meth:`add_tensor` / :meth:`infer_shapes`),
+        which also drop every :meth:`derived` value;
         scheduler-written :attr:`~repro.graph.node.Node.annotations` are
         deliberately excluded, so compiling never changes a graph's
         identity.  Code mutating ``nodes`` / ``tensors`` directly must
@@ -244,6 +249,22 @@ class Graph:
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         self._sig_cache = hashlib.sha256(blob.encode()).hexdigest()
         return self._sig_cache
+
+    def derived(self, key: str, build: Callable[["Graph"], Any]) -> Any:
+        """``build(self)``, kept on this graph under ``key``.
+
+        For graph-only quantities that several compilations read, such
+        as the per-node profile facts of
+        :func:`repro.sched.costs.node_facts`: a graph compiled for many
+        architectures derives them once.  The same mutation points that
+        drop :meth:`signature`'s hash drop every value, so ``build`` must
+        read nothing but the graph's content.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build(self)
+            return value
 
     def validate(self) -> None:
         """Check edge consistency: every consumed tensor is produced by a
@@ -288,6 +309,7 @@ class Graph:
                 if existing is None:
                     self.tensors[name] = inferred
                     self._sig_cache = None
+                    self._derived = {}
         return self
 
     # ------------------------------------------------------------------

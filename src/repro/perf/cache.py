@@ -29,6 +29,14 @@ stages of a multi-chip shard, or repeated blocks of one model:
 * **greedy placements** (``placement.place_greedy``) keyed on what the
   placer reads, with one core tuple per CIM operator position.
 
+Graph-only quantities are not kept here: each node's profile facts
+(:func:`repro.sched.costs.node_facts`) and the placer's CIM-to-CIM
+paths live on the graph object (:meth:`repro.graph.Graph.derived`),
+derived once per graph and dropped by its mutation points.  Keyed on
+``graph.signature()`` they would cost every fresh graph a hash that
+takes about three quarters as long as deriving its facts, and would
+pay only when equal content arrives in another graph object.
+
 The cache is deliberately in-process and unbounded: one sweep/serve/shard
 run holds a bounded universe of distinct keys, and entries are plain
 shared immutables (profiles, positional count and core tuples, floats)

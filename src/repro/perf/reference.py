@@ -29,14 +29,15 @@ from contextlib import contextmanager
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
-from ..arch import CIMArchitecture
+from ..arch import CIMArchitecture, ComputingMode, bind
 from ..arch.noc import NocSpec
 from ..errors import CapacityError, ScheduleError
 from ..fleet import engine as fleet_engine
+from ..graph import Graph, Node
 from ..scale import partition as scale_partition
-from ..sched import cg, placement
+from ..sched import cg, costs, placement
 from ..sched.compiler import CIMMLC
-from ..sched.costs import OpProfile
+from ..sched.costs import CostModel, OpProfile
 from ..sched.schedule import OpDecision, Schedule
 from ..serve import engine as serve_engine
 from ..sim import performance
@@ -80,6 +81,104 @@ def max_cost(spec: NocSpec, n: int) -> float:
     matrix = spec.hop_matrix(n)
     return max((matrix[i][j] for i in range(n) for j in range(n)),
                default=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Operator profiles
+# ---------------------------------------------------------------------------
+
+
+def profile(self: CostModel, graph: Graph, node: Node) -> OpProfile:
+    """The pre-split ``CostModel.profile``: one node's profile with
+    every graph quantity (bits, ALU ops, weight matrix, MVM count, fill
+    fraction) read from the graph again for each architecture."""
+    arch = self.arch
+    in_specs = graph.input_specs(node)
+    activation_bits = in_specs[0].bits if in_specs else 8
+    in_bits = sum(s.size_bits for s in in_specs if not s.is_weight)
+    out_bits = sum(
+        graph.output_spec(node, i).size_bits
+        for i in range(len(node.outputs))
+    )
+    alu_cycles = self._alu_cycles(graph.alu_ops(node))
+    # Elementwise digital ops (ReLU, BatchNorm, residual Add...) fuse
+    # into the producer's output stream and cause no extra buffer
+    # traffic; CIM ops and window/reduction ops pay for gathering
+    # inputs to cores and scattering results back.  The buffer port is
+    # per core (ISAAC-style tiled eDRAM), so an operator spanning k
+    # cores streams through k ports; duplication does NOT divide the
+    # traffic (replicas re-read overlapping input halos — the paper's
+    # balance step likewise treats duplication as increasing transfer).
+    if graph.is_cim_supported(node):
+        mov_cycles = self._mov_cycles(in_bits + out_bits)  # scaled below
+    elif node.op_type in costs._WINDOWED_OPS:
+        ports = (1 if self.arch.mode is ComputingMode.CM
+                 else self.arch.chip.core_number)
+        mov_cycles = self._mov_cycles(in_bits + out_bits) / ports
+    else:
+        mov_cycles = 0.0
+
+    if not graph.is_cim_supported(node):
+        return OpProfile(
+            name=node.name, op_type=node.op_type, is_cim=False,
+            num_mvms=0, vxb=None, n_xb=0, cores_per_replica=0,
+            mvm_cycles_base=0, row_waves=0, input_passes=0,
+            alu_cycles=alu_cycles, mov_cycles=mov_cycles,
+            weight_bits=0, in_bits=in_bits, out_bits=out_bits,
+            fill_fraction=costs._fill_fraction(graph, node),
+            max_useful_dup=1,
+        )
+
+    matrix = graph.weight_matrix(node)
+    assert matrix is not None
+    vxb = bind(matrix, arch.xb, self.bit_binding)
+    n_xb = vxb.num_crossbars
+    cores_per_replica = max(1, math.ceil(n_xb / arch.core.xb_number))
+    # Intra-operator time multiplexing: when one replica exceeds the
+    # whole chip (typical for resource-constrained SRAM CIMs), the VXB
+    # executes in sequential passes with a weight reload between passes.
+    seq_passes = 1
+    reload_cycles = 0.0
+    weight_bits = matrix[0] * matrix[1] * matrix[2]
+    if cores_per_replica > arch.chip.core_number:
+        seq_passes = math.ceil(cores_per_replica / arch.chip.core_number)
+        cores_per_replica = arch.chip.core_number
+        weight_rows = math.ceil(
+            weight_bits / (arch.xb.cols * arch.xb.cell_bits))
+        rows_per_core_pass = math.ceil(
+            weight_rows / (seq_passes * cores_per_replica))
+        reload_cycles = rows_per_core_pass * \
+            arch.xb.cell_type.write_cost_ratio
+        # Only one pass worth of crossbars is ever resident.
+        n_xb = min(n_xb, cores_per_replica * arch.core.xb_number)
+    # Worst (fullest) vertical tile dominates the wave count: tiles run
+    # in parallel on distinct crossbars, so the full-height tiles set
+    # the pace.
+    rows_per_tile = arch.xb.rows if vxb.v_rows > 1 else vxb.rows_used
+    row_waves = arch.xb.row_waves(rows_per_tile)
+    input_passes = arch.xb.input_passes(activation_bits)
+    num_mvms = graph.num_mvms(node)
+    return OpProfile(
+        name=node.name, op_type=node.op_type, is_cim=True,
+        num_mvms=num_mvms, vxb=vxb, n_xb=n_xb,
+        cores_per_replica=cores_per_replica,
+        mvm_cycles_base=input_passes * row_waves,
+        row_waves=row_waves, input_passes=input_passes,
+        alu_cycles=alu_cycles,
+        mov_cycles=mov_cycles / cores_per_replica,
+        weight_bits=weight_bits,
+        in_bits=in_bits, out_bits=out_bits,
+        fill_fraction=costs._fill_fraction(graph, node),
+        max_useful_dup=1 if seq_passes > 1 else max(1, num_mvms),
+        seq_passes=seq_passes,
+        reload_cycles=reload_cycles,
+    )
+
+
+def derive_profiles(self: CostModel, graph: Graph) -> Dict[str, OpProfile]:
+    """Scalar ``CostModel._derive``: one :func:`profile` per node in
+    topological order, with no per-graph facts."""
+    return {n.name: profile(self, graph, n) for n in graph.topological()}
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +427,36 @@ def segment_latencies(decisions: Sequence[OpDecision], pipelined: bool
 # ---------------------------------------------------------------------------
 
 
+def edges(schedule: Schedule, segment: int) -> List[Tuple[str, str, int]]:
+    """Scalar ``sched.placement._edges``: a depth-first walk per segment
+    from each of its CIM operators, through the segment's digital
+    operators, to the CIM operators they feed (a ReLU between two convs
+    does not break locality)."""
+    graph = schedule.graph
+    names = set(schedule.segments[segment])
+    found: List[Tuple[str, str, int]] = []
+
+    def cim_consumers(node, bits):
+        for succ in graph.successors(node):
+            if succ.name not in names:
+                continue
+            if schedule.decision(succ.name).profile.is_cim:
+                yield succ.name, bits
+            else:
+                out_bits = sum(
+                    graph.tensors[o].size_bits for o in succ.outputs
+                    if o in graph.tensors)
+                yield from cim_consumers(succ, out_bits or bits)
+
+    for name in placement._segment_cim_nodes(schedule, segment):
+        node = graph.node(name)
+        out_bits = sum(graph.tensors[o].size_bits for o in node.outputs
+                       if o in graph.tensors)
+        for consumer, bits in cim_consumers(node, out_bits):
+            found.append((name, consumer, bits))
+    return found
+
+
 def place_greedy(schedule: Schedule, segment: int = 0,
                  region: Optional[Sequence[int]] = None,
                  die_cores: Optional[int] = None,
@@ -551,10 +680,13 @@ def _compile_uncached(self: IncrementalCompiler, graph, arch,
 #: the duplication searches, segment densities, greedy placements and
 #: the planners' and runner's default cache all live there).  The NoC
 #: ``lru_cache`` s sit behind production forms replaced above, so they
-#: see no traffic inside the seam.
+#: see no traffic inside the seam; so do the per-graph memos
+#: (:meth:`~repro.graph.Graph.derived`), read only by the production
+#: ``CostModel._derive`` and ``placement._edges``.
 SWAPS = (
     (NocSpec, "average_cost", average_cost),
     (NocSpec, "max_cost", max_cost),
+    (CostModel, "_derive", derive_profiles),
     (cg, "_useful_dups", useful_dups),
     (cg, "_duplicate_min_total", duplicate_min_total),
     (cg, "_refine_exchange", refine_exchange),
@@ -563,6 +695,7 @@ SWAPS = (
     (cg, "sequential_latency", sequential_latency),
     (performance, "pipelined_latency", pipelined_latency),
     (performance, "_segment_latencies", segment_latencies),
+    (placement, "_edges", edges),
     (placement, "place_greedy", place_greedy),
     (scale_partition, "_interval_matrix", interval_matrix),
     (scale_partition, "_best_bounds", best_bounds),

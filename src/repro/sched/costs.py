@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Tuple
 
 from ..arch import BitBinding, CIMArchitecture, ComputingMode, VXBShape, bind
 from ..errors import ScheduleError
 from ..graph import Graph, Node
+from ..graph.ops import WeightMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..perf import CompileCache
@@ -120,8 +121,94 @@ class OpProfile:
             self.fill_fraction
 
 
+class NodeFacts(NamedTuple):
+    """The graph-only inputs of one node's :class:`OpProfile`.
+
+    Nothing here reads the architecture, so one graph's facts serve
+    every architecture it is compiled for (see :func:`node_facts`).
+    ``matrix`` and ``num_mvms`` are ``None`` and 0 for digital nodes.
+    A tuple, not a frozen dataclass: a graph profiled only once (a
+    shard stage) pays for building its facts, and a tuple builds in a
+    fraction of the time.
+    """
+
+    name: str
+    op_type: str
+    is_cim: bool
+    activation_bits: int      # bits of the first input (8 without inputs)
+    in_bits: int              # activation inputs, weights excluded
+    out_bits: int
+    alu_ops: int
+    windowed: bool            # a digital op that pays buffer traffic
+    fill_fraction: float
+    matrix: Optional[WeightMatrix]
+    num_mvms: int
+
+
+def node_facts(graph: Graph) -> Tuple[NodeFacts, ...]:
+    """Every node's :class:`NodeFacts` in topological order.
+
+    Derived once per graph and kept on it (:meth:`Graph.derived`), so
+    the mutation points that change the graph's signature drop them.
+    """
+    return graph.derived("node_facts", _derive_facts)
+
+
+def _derive_facts(graph: Graph) -> Tuple[NodeFacts, ...]:
+    """Uncached body of :func:`node_facts`."""
+    facts = []
+    for node in graph.topological():
+        in_specs = graph.input_specs(node)
+        is_cim = graph.is_cim_supported(node)
+        facts.append(NodeFacts(
+            name=node.name, op_type=node.op_type, is_cim=is_cim,
+            activation_bits=in_specs[0].bits if in_specs else 8,
+            in_bits=sum(s.size_bits for s in in_specs if not s.is_weight),
+            out_bits=sum(graph.output_spec(node, i).size_bits
+                         for i in range(len(node.outputs))),
+            alu_ops=graph.alu_ops(node),
+            windowed=node.op_type in _WINDOWED_OPS,
+            fill_fraction=_fill_fraction(graph, node),
+            matrix=graph.weight_matrix(node) if is_cim else None,
+            num_mvms=graph.num_mvms(node) if is_cim else 0,
+        ))
+    return tuple(facts)
+
+
+def _fill_fraction(graph: Graph, node: Node) -> float:
+    """Fraction of this op's latency the successor must wait before
+    starting (inter-operator pipeline, Section 3.3.2).
+
+    Convolutions stream output rows: a 3x3 successor needs ~kernel rows,
+    i.e. ``k / OH`` of the output.  Token-wise ops (Gemm/MatMul) need one
+    token: ``1 / T``.  Reductions (pooling over everything, softmax) need
+    the entire input: 1.0.
+    """
+    try:
+        out_shape = graph.output_spec(node).shape
+    except Exception:
+        return 1.0
+    if node.op_type in ("GlobalAveragePool", "Softmax", "Flatten",
+                        "Reshape", "Transpose"):
+        return 1.0
+    if len(out_shape) == 4:
+        oh = out_shape[2]
+        k = 3  # typical receptive rows a downstream conv window needs
+        return min(1.0, k / max(1, oh))
+    if len(out_shape) >= 2:
+        tokens = out_shape[-2] if len(out_shape) >= 2 else 1
+        return min(1.0, 1.0 / max(1, tokens))
+    return 1.0
+
+
 class CostModel:
     """Derives :class:`OpProfile` objects for one (graph, architecture).
+
+    Profiling runs in two steps: :func:`node_facts` derives each node's
+    graph-only quantities once per graph, and :meth:`price` turns one
+    node's facts into its profile on this architecture.  A graph
+    compiled for many architectures (the presets, a Fig. 22 sweep) is
+    therefore read once and priced once per architecture.
 
     Pass a :class:`~repro.perf.CompileCache` to share the derived
     profile dicts across compilations: the cache key is the
@@ -140,17 +227,12 @@ class CostModel:
 
     # ------------------------------------------------------------------
 
-    def profile(self, graph: Graph, node: Node) -> OpProfile:
-        """Build the profile of one node."""
+    def price(self, facts: NodeFacts) -> OpProfile:
+        """One node's profile on this architecture: the crossbar
+        binding, crossbar and core counts, passes and waves, and the
+        ALU and data-movement cycles."""
         arch = self.arch
-        in_specs = graph.input_specs(node)
-        activation_bits = in_specs[0].bits if in_specs else 8
-        in_bits = sum(s.size_bits for s in in_specs if not s.is_weight)
-        out_bits = sum(
-            graph.output_spec(node, i).size_bits
-            for i in range(len(node.outputs))
-        )
-        alu_cycles = self._alu_cycles(graph.alu_ops(node))
+        alu_cycles = self._alu_cycles(facts.alu_ops)
         # Elementwise digital ops (ReLU, BatchNorm, residual Add...) fuse
         # into the producer's output stream and cause no extra buffer
         # traffic; CIM ops and window/reduction ops pay for gathering
@@ -159,27 +241,28 @@ class CostModel:
         # cores streams through k ports; duplication does NOT divide the
         # traffic (replicas re-read overlapping input halos — the paper's
         # balance step likewise treats duplication as increasing transfer).
-        if graph.is_cim_supported(node):
+        in_bits, out_bits = facts.in_bits, facts.out_bits
+        if facts.is_cim:
             mov_cycles = self._mov_cycles(in_bits + out_bits)  # scaled below
-        elif node.op_type in _WINDOWED_OPS:
-            ports = (1 if self.arch.mode is ComputingMode.CM
-                     else self.arch.chip.core_number)
+        elif facts.windowed:
+            ports = (1 if arch.mode is ComputingMode.CM
+                     else arch.chip.core_number)
             mov_cycles = self._mov_cycles(in_bits + out_bits) / ports
         else:
             mov_cycles = 0.0
 
-        if not graph.is_cim_supported(node):
+        if not facts.is_cim:
             return OpProfile(
-                name=node.name, op_type=node.op_type, is_cim=False,
+                name=facts.name, op_type=facts.op_type, is_cim=False,
                 num_mvms=0, vxb=None, n_xb=0, cores_per_replica=0,
                 mvm_cycles_base=0, row_waves=0, input_passes=0,
                 alu_cycles=alu_cycles, mov_cycles=mov_cycles,
                 weight_bits=0, in_bits=in_bits, out_bits=out_bits,
-                fill_fraction=self._fill_fraction(graph, node),
+                fill_fraction=facts.fill_fraction,
                 max_useful_dup=1,
             )
 
-        matrix = graph.weight_matrix(node)
+        matrix = facts.matrix
         assert matrix is not None
         vxb = bind(matrix, arch.xb, self.bit_binding)
         n_xb = vxb.num_crossbars
@@ -206,10 +289,10 @@ class CostModel:
         # the pace.
         rows_per_tile = arch.xb.rows if vxb.v_rows > 1 else vxb.rows_used
         row_waves = arch.xb.row_waves(rows_per_tile)
-        input_passes = arch.xb.input_passes(activation_bits)
-        num_mvms = graph.num_mvms(node)
+        input_passes = arch.xb.input_passes(facts.activation_bits)
+        num_mvms = facts.num_mvms
         return OpProfile(
-            name=node.name, op_type=node.op_type, is_cim=True,
+            name=facts.name, op_type=facts.op_type, is_cim=True,
             num_mvms=num_mvms, vxb=vxb, n_xb=n_xb,
             cores_per_replica=cores_per_replica,
             mvm_cycles_base=input_passes * row_waves,
@@ -218,11 +301,17 @@ class CostModel:
             mov_cycles=mov_cycles / cores_per_replica,
             weight_bits=weight_bits,
             in_bits=in_bits, out_bits=out_bits,
-            fill_fraction=self._fill_fraction(graph, node),
+            fill_fraction=facts.fill_fraction,
             max_useful_dup=1 if seq_passes > 1 else max(1, num_mvms),
             seq_passes=seq_passes,
             reload_cycles=reload_cycles,
         )
+
+    def _derive(self, graph: Graph) -> Dict[str, OpProfile]:
+        """Uncached profiles of every node: the graph's
+        :func:`node_facts`, each priced by :meth:`price`."""
+        price = self.price
+        return {facts.name: price(facts) for facts in node_facts(graph)}
 
     def profiles(self, graph: Graph) -> Dict[str, OpProfile]:
         """Profiles for every node, keyed by node name (memoized when a
@@ -234,8 +323,7 @@ class CostModel:
             hit = self.cache.get_profiles(key)
             if hit is not None:
                 return hit
-        result = {n.name: self.profile(graph, n)
-                  for n in graph.topological()}
+        result = self._derive(graph)
         if key is not None:
             self.cache.put_profiles(key, result)
         return result
@@ -270,31 +358,6 @@ class CostModel:
         base = bits / chip.l0_bw_bits
         hops = chip.core_noc.average_cost(chip.core_number)
         return base * (1.0 + hops)
-
-    def _fill_fraction(self, graph: Graph, node: Node) -> float:
-        """Fraction of this op's latency the successor must wait before
-        starting (inter-operator pipeline, Section 3.3.2).
-
-        Convolutions stream output rows: a 3x3 successor needs ~kernel rows,
-        i.e. ``k / OH`` of the output.  Token-wise ops (Gemm/MatMul) need one
-        token: ``1 / T``.  Reductions (pooling over everything, softmax) need
-        the entire input: 1.0.
-        """
-        try:
-            out_shape = graph.output_spec(node).shape
-        except Exception:
-            return 1.0
-        if node.op_type in ("GlobalAveragePool", "Softmax", "Flatten",
-                            "Reshape", "Transpose"):
-            return 1.0
-        if len(out_shape) == 4:
-            oh = out_shape[2]
-            k = 3  # typical receptive rows a downstream conv window needs
-            return min(1.0, k / max(1, oh))
-        if len(out_shape) >= 2:
-            tokens = out_shape[-2] if len(out_shape) >= 2 else 1
-            return min(1.0, 1.0 / max(1, tokens))
-        return 1.0
 
 
 def chip_fits(profiles: Dict[str, OpProfile], arch: CIMArchitecture) -> bool:

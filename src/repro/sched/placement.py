@@ -29,6 +29,7 @@ import numpy as np
 from ..arch import ChipTier
 from ..arch.noc import hop_cost_array
 from ..errors import CapacityError, ScheduleError
+from ..graph import Graph
 from ..perf import cache as perf_cache
 from .schedule import Schedule
 
@@ -100,30 +101,46 @@ def traffic_bits(schedule: Schedule, producer: str, consumer: str) -> int:
 
 def _edges(schedule: Schedule, segment: int) -> List[Tuple[str, str, int]]:
     """CIM-to-CIM communication edges within a segment, skipping through
-    digital ops (a ReLU between two convs does not break locality)."""
-    graph = schedule.graph
+    digital ops (a ReLU between two convs does not break locality).
+
+    The graph's paths are walked once (:func:`_cim_paths`, kept on the
+    graph with :meth:`~repro.graph.Graph.derived`); each segment keeps,
+    in walk order, the paths whose consumer and skipped digital
+    operators all lie inside it, which are exactly the edges a walk
+    confined to the segment finds.
+    """
     names = set(schedule.segments[segment])
-    edges: List[Tuple[str, str, int]] = []
+    paths = schedule.graph.derived("cim_paths", _cim_paths)
+    return [(name, consumer, bits)
+            for name in _segment_cim_nodes(schedule, segment)
+            for consumer, bits, skipped in paths[name]
+            if consumer in names and names.issuperset(skipped)]
 
-    def cim_consumers(node, bits):
+
+def _cim_paths(graph: Graph
+               ) -> Dict[str, Tuple[Tuple[str, int, Tuple[str, ...]], ...]]:
+    """Every path from a CIM operator through digital operators to a
+    CIM operator it feeds, grouped by source.
+
+    Each path is ``(consumer, bits, skipped digital operator names)``,
+    in depth-first order over :meth:`~repro.graph.Graph.successors`;
+    ``bits`` is the output size of the last skipped operator whose size
+    is not zero, else the source's.
+    """
+    def out_bits(node) -> int:
+        return sum(graph.tensors[o].size_bits for o in node.outputs
+                   if o in graph.tensors)
+
+    def walk(node, bits, skipped):
         for succ in graph.successors(node):
-            if succ.name not in names:
-                continue
-            if schedule.decision(succ.name).profile.is_cim:
-                yield succ.name, bits
+            if graph.is_cim_supported(succ):
+                yield succ.name, bits, skipped
             else:
-                out_bits = sum(
-                    graph.tensors[o].size_bits for o in succ.outputs
-                    if o in graph.tensors)
-                yield from cim_consumers(succ, out_bits or bits)
+                yield from walk(succ, out_bits(succ) or bits,
+                                skipped + (succ.name,))
 
-    for name in _segment_cim_nodes(schedule, segment):
-        node = graph.node(name)
-        out_bits = sum(graph.tensors[o].size_bits for o in node.outputs
-                       if o in graph.tensors)
-        for consumer, bits in cim_consumers(node, out_bits):
-            edges.append((name, consumer, bits))
-    return edges
+    return {node.name: tuple(walk(node, out_bits(node), ()))
+            for node in graph.nodes if graph.is_cim_supported(node)}
 
 
 def placement_cost(schedule: Schedule, placement: Placement,

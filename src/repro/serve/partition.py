@@ -34,7 +34,7 @@ from ..sched import CIMMLC, CompilerOptions
 from ..sched.costs import CostModel
 from ..sched.placement import annotate_placement
 from ..sched.schedule import Schedule
-from .workload import TenantSpec
+from .workload import TenantSpec, _require_positive
 
 #: Serving plan modes.
 MODES = ("spatial", "temporal")
@@ -339,8 +339,11 @@ def plan_spatial(arch: CIMArchitecture, specs: Sequence[TenantSpec],
     down-duplicating the hungriest tenants (the budget wins over an
     explicit ``alloc``), or raising
     :class:`~repro.errors.CapacityError` when the mix cannot fit even at
-    residency floors.
+    residency floors.  A zero, negative or non-finite budget raises
+    :class:`~repro.errors.ScheduleError`.
     """
+    if power_budget is not None:
+        _require_positive("power budget", power_budget)
     cache = perf_cache.resolve(cache)
     graphs = resolve_graphs(specs)
     floors = {s.name: min_cores(graphs[s.name], arch, cache=cache)
@@ -416,8 +419,11 @@ def plan_temporal(arch: CIMArchitecture, specs: Sequence[TenantSpec],
     binds on the single hungriest tenant; a full-chip compilation cannot
     be down-duplicated, so an over-budget tenant is *rejected*
     (:class:`~repro.errors.CapacityError` — spatial partitioning can
-    reshape instead).
+    reshape instead).  A zero, negative or non-finite budget raises
+    :class:`~repro.errors.ScheduleError`, as in :func:`plan_spatial`.
     """
+    if power_budget is not None:
+        _require_positive("power budget", power_budget)
     cache = perf_cache.resolve(cache)
     graphs = resolve_graphs(specs)
     tenants: List[TenantPlan] = []

@@ -31,7 +31,7 @@ from .partition import (
     _regions,
 )
 from .report import ServeReport
-from .workload import TenantSpec, make_trace
+from .workload import TenantSpec, _require_positive, make_trace
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,11 @@ def build_plans(arch: CIMArchitecture, specs: Sequence[TenantSpec],
     the live planners: the spatial allocation is shrunk via
     :func:`~repro.serve.partition.fit_power_budget` (every probe riding
     the cache) and an over-budget temporal tenant raises
-    :class:`~repro.errors.CapacityError`.
+    :class:`~repro.errors.CapacityError`; a zero, negative or non-finite
+    budget raises :class:`~repro.errors.ScheduleError`.
     """
+    if power_budget is not None:
+        _require_positive("power budget", power_budget)
     for mode in modes:
         if mode not in MODES:
             from ..errors import ScheduleError

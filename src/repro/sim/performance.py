@@ -167,10 +167,11 @@ class PerformanceSimulator:
             for d, lat in zip(decisions, lats):
                 op_latency[d.profile.name] = lat
             seg_profiles = {d.profile.name: d.profile for d in decisions}
-            weight_load += reconfiguration_cycles(seg_profiles, self.arch)
+            load = reconfiguration_cycles(seg_profiles, self.arch)
+            weight_load += load
             reconf = 0.0
             if multi_segment:
-                reconf = reconfiguration_cycles(seg_profiles, self.arch)
+                reconf = load
                 if schedule.pipelined and self.arch.xb.cell_type.cheap_writes:
                     # SRAM chips stream the next segment's weights into
                     # idle cores while the current segment computes; only

@@ -286,6 +286,32 @@ class TestServe:
         assert str(exc.value.code).startswith(message)
         assert "\n" not in str(exc.value.code)
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--tenants", "mlp", "--requests", "10"],
+        ["serve", "--tenants", "mlp", "--requests", "10",
+         "--rates", "200,500", "--no-cache"],
+        ["fleet", "--tenants", "mlp", "--requests", "50", "--replicas", "2",
+         "--no-cache"],
+    ])
+    @pytest.mark.parametrize("budget", ["nan", "inf"])
+    def test_non_finite_power_budget_exits_with_one_line(self, argv, budget):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--arch", "functional-testbed",
+                  "--power-budget", budget])
+        assert str(exc.value.code).startswith(
+            "power budget must be finite and > 0")
+        assert "\n" not in str(exc.value.code)
+
+    @pytest.mark.parametrize("death", ["nan", "inf"])
+    def test_non_finite_chip_death_exits_with_one_line(self, death):
+        with pytest.raises(SystemExit) as exc:
+            main(["faults", "--arch", "functional-testbed", "--tenants",
+                  "mlp", "--requests", "200", "--replicas", "2",
+                  "--chip-death", death])
+        assert str(exc.value.code).startswith(
+            "chip_death_time must be finite and >= 0")
+        assert "\n" not in str(exc.value.code)
+
     def test_bad_batch_policy(self):
         with pytest.raises(SystemExit, match="bad batch policy"):
             main(self.ARGS[:-2] + ["--batch", "warp:9"])

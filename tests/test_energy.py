@@ -21,7 +21,7 @@ from repro.arch import (
     isaac_flash,
 )
 from repro.cli import main
-from repro.errors import ArchitectureError
+from repro.errors import ArchitectureError, ScheduleError
 from repro.explore import (
     ENERGY_OBJECTIVES,
     OBJECTIVE_ALIASES,
@@ -183,6 +183,14 @@ class TestExploreEnergyMetrics:
         assert not any(p["pareto"] and not p["within_power_budget"]
                        for p in doc["points"])
 
+    @pytest.mark.parametrize("budget", [float("nan"), 0.0])
+    def test_csv_json_refuse_a_meaningless_budget(self, budget):
+        sweep = SweepRunner().run(_space((8,)))
+        for render in (to_csv, to_json):
+            with pytest.raises(ScheduleError,
+                               match="power budget must be finite"):
+                render(sweep, power_budget=budget)
+
     def test_multichip_summary_carries_link_energy(self):
         from repro.explore import SweepPoint
 
@@ -289,6 +297,17 @@ class TestSweepEnergyCLI:
         main(self.ARGS + ["--power-budget", "0.001", "--pareto"])
         out = capsys.readouterr().out
         assert "0/2 points feasible" in out
+
+    @pytest.mark.parametrize("budget", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("extra", [[], ["--prefilter", "replay"],
+                                       ["--format", "json"]])
+    def test_meaningless_power_budget_exits_with_one_line(self, budget,
+                                                          extra):
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGS + extra + ["--power-budget", budget])
+        assert str(exc.value.code).startswith(
+            "power budget must be finite and > 0")
+        assert "\n" not in str(exc.value.code)
 
     def test_bad_objectives_rejected(self):
         with pytest.raises(SystemExit):

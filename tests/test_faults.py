@@ -13,6 +13,8 @@ Three property families guard :mod:`repro.faults`:
   exactly like healthy ones.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,6 +83,12 @@ class TestFaultModel:
             FaultModel(chip_death_time=-1.0)
         with pytest.raises(CIMError):
             FaultModel(chip_death_rid=-2)
+
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+    def test_chip_death_time_must_be_finite(self, time):
+        with pytest.raises(CIMError,
+                           match="chip_death_time must be finite and >= 0"):
+            FaultModel(chip_death_time=time)
 
     def test_is_zero(self):
         assert FaultModel().is_zero()

@@ -17,6 +17,10 @@ Layers of pinning:
 * **partition equality** — the multi-chip partitioner's interval table
   equals the scalar bisection over every stage (hypothesis-generated
   profiles), and whole partitions match the oracle's;
+* **per-graph memos** — a graph's profile facts and CIM-to-CIM paths
+  are derived once, not once per architecture, equal the oracle's
+  per-node and per-segment forms over the zoo, and are dropped by
+  every mutation point;
 * **cache behaviour** — :class:`repro.perf.CompileCache` hit counters
   prove profiles/duplication searches are shared, the sweep runner
   deduplicates identical points, and its worker pool persists across
@@ -30,6 +34,7 @@ import ast
 import dataclasses
 import math
 import os
+import pickle
 import random
 
 import numpy as np
@@ -39,6 +44,8 @@ from hypothesis import strategies as st
 
 import repro
 from repro.arch import (
+    PRESETS,
+    BitBinding,
     MultiChipSystem,
     functional_testbed,
     get_preset,
@@ -50,13 +57,13 @@ from repro.errors import CapacityError
 from repro.explore import SweepPoint, SweepRunner, SweepSpace, level_series
 from repro.explore import runner as runner_mod
 from repro.faults import FaultModel
-from repro.graph import GraphBuilder
-from repro.models import get_model, lenet, mlp, resnet18, vit_tiny
+from repro.graph import Graph, GraphBuilder, Node, TensorSpec
+from repro.models import MODEL_ZOO, get_model, lenet, mlp, resnet18, vit_tiny
 from repro.perf import CompileCache, IncrementalCompiler, reference
 from repro.perf import cache as perf_cache
 from repro.perf.kernels import BottleneckSearch, fold, seq_sum
 from repro.sched import CIMMLC, CompilerOptions, no_optimization
-from repro.sched import cg, placement
+from repro.sched import cg, costs, placement
 from repro.sched.cg import duplicate_min_bottleneck, duplicate_min_total
 from repro.sched.costs import CostModel, OpProfile
 from repro.sched.placement import annotate_placement, place_greedy
@@ -181,8 +188,9 @@ class TestReferenceSeam:
         assert offenders == []
 
     def test_only_the_noc_memos_use_functools(self):
-        # Implicit memos live in the process compile cache; the NoC
-        # cost aggregates are the one lru_cache exception.
+        # Implicit memos live in the process compile cache or on the
+        # graph (Graph.derived); the NoC cost aggregates are the one
+        # lru_cache exception.
         users = set()
         for dirpath, _, files in os.walk(os.path.join(SRC, "repro")):
             for name in files:
@@ -190,20 +198,43 @@ class TestReferenceSeam:
                     continue
                 path = os.path.join(dirpath, name)
                 with open(path) as fh:
-                    tree = ast.parse(fh.read())
-                for node in ast.walk(tree):
-                    if isinstance(node, ast.ImportFrom) \
-                            and node.module == "functools":
-                        used = {a.name for a in node.names}
-                    elif isinstance(node, ast.Attribute) \
-                            and isinstance(node.value, ast.Name) \
-                            and node.value.id == "functools":
-                        used = {node.attr}
-                    else:
-                        continue
-                    if used & {"lru_cache", "cache"}:
+                    if _uses_functools_memo(ast.parse(fh.read())):
                         users.add(os.path.relpath(path, SRC))
         assert users == {os.path.join("repro", "arch", "noc.py")}
+
+    @pytest.mark.parametrize("source,uses", [
+        ("import functools\n@functools.lru_cache\ndef f(): pass", True),
+        ("import functools as _ft\n@_ft.lru_cache(None)\ndef f(): pass",
+         True),
+        ("import functools as _ft\ng = _ft.cache(len)", True),
+        ("from functools import lru_cache", True),
+        ("from functools import lru_cache as memo", True),
+        ("from functools import cache as memo", True),
+        ("import functools\nfunctools.reduce(max, [1])", False),
+        ("from functools import reduce as lru_cache", False),
+        ("import other as functools\nfunctools.lru_cache", False),
+    ])
+    def test_the_functools_scan_sees_aliases(self, source, uses):
+        assert _uses_functools_memo(ast.parse(source)) is uses
+
+
+def _uses_functools_memo(tree) -> bool:
+    """True when ``tree`` imports ``functools.lru_cache`` or
+    ``functools.cache``, under any alias, or reads either from the
+    ``functools`` module bound to any name."""
+    memos = {"lru_cache", "cache"}
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names
+                           if a.name == "functools")
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools" \
+                and any(a.name in memos for a in node.names):
+            return True
+    return any(isinstance(node, ast.Attribute) and node.attr in memos
+               and isinstance(node.value, ast.Name)
+               and node.value.id in modules
+               for node in ast.walk(tree))
 
 
 class TestNocKernelEquality:
@@ -965,6 +996,205 @@ class TestSweepRunnerFastPath:
             ref = SweepRunner().run(space())
         fast = SweepRunner().run(space())
         assert [r.summary for r in ref] == [r.summary for r in fast]
+
+
+def _named(profiles):
+    """A profile dict as comparable values: node name, profile name and
+    every field (``OpProfile`` equality alone ignores the names)."""
+    return [(key, p.name, [getattr(p, f.name)
+                           for f in dataclasses.fields(OpProfile)])
+            for key, p in profiles.items()]
+
+
+def _rebuilt(graph):
+    """A freshly built graph equal in content to ``graph`` now."""
+    return Graph(graph.name, graph.inputs, graph.outputs,
+                 dict(graph.tensors),
+                 [Node(n.name, n.op_type, list(n.inputs), list(n.outputs),
+                       dict(n.attrs)) for n in graph.nodes])
+
+
+def _conv_relu_pool():
+    """x -> conv ``a`` -> relu ``r`` -> 2x2 max-pool ``p`` (stride 2)."""
+    b = GraphBuilder("conv-relu-pool")
+    x = b.input("x", (1, 3, 8, 8))
+    y = b.relu(b.conv(x, 4, 3, padding=1, name="a"), name="r")
+    return b.build(outputs=[b.maxpool(y, 2, name="p")])
+
+
+@pytest.fixture(scope="module")
+def zoo_pass():
+    """Every zoo model scheduled on every preset, each graph object
+    shared by the presets as in hostbench ``zoo_compile``: the
+    schedules and the calls made to the facts builder and to
+    ``CostModel.profiles``."""
+    graphs = {m: MODEL_ZOO[m]() for m in sorted(MODEL_ZOO)}
+    builds, priced = [], []
+    builder, profiles = costs._derive_facts, CostModel.profiles
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(costs, "_derive_facts",
+                      lambda graph: builds.append(graph) or builder(graph))
+        patch.setattr(CostModel, "profiles",
+                      lambda self, graph: priced.append(graph)
+                      or profiles(self, graph))
+        schedules = [CIMMLC(PRESETS[a]()).schedule(g)
+                     for a in sorted(PRESETS) for g in graphs.values()]
+    return graphs, schedules, builds, priced
+
+
+class TestGraphFacts:
+    """Profiling derives each graph's facts once and prices them per
+    architecture; placement walks each graph's CIM paths once.  Both
+    per-graph memos equal the oracle's per-node and per-segment forms
+    and are dropped by every mutation point."""
+
+    def test_profiles_match_the_oracle_on_the_zoo(self, zoo_pass):
+        graphs = zoo_pass[0]
+        compared = 0
+        for preset in sorted(PRESETS):
+            arch = PRESETS[preset]()
+            for model, graph in graphs.items():
+                for binding in BitBinding:
+                    cost_model = CostModel(arch, binding)
+                    assert _named(cost_model.profiles(graph)) == _named(
+                        reference.derive_profiles(cost_model, graph)), \
+                        (model, preset, binding)
+                    compared += 1
+        assert compared == 238
+
+    def test_profiles_match_the_oracle_on_mixed_bits(self):
+        # The zoo is 8-bit throughout; here the input, the weights and
+        # the intermediates differ, so each bit-derived fact shows.
+        b = GraphBuilder("mixed-bits", bits=2)
+        x = b.input("x", (1, 3, 8, 8), bits=6)
+        y = b.maxpool(b.relu(b.conv(x, 4, 3, padding=1, name="a")), 2)
+        graph = b.build(outputs=[b.gemm(b.flatten(y), 10, name="fc")])
+        for preset in sorted(PRESETS):
+            for binding in BitBinding:
+                cost_model = CostModel(PRESETS[preset](), binding)
+                assert _named(cost_model.profiles(graph)) == _named(
+                    reference.derive_profiles(cost_model, graph))
+
+    def test_facts_derived_once_per_graph(self, zoo_pass):
+        graphs, schedules, builds, priced = zoo_pass
+        assert len(schedules) == len(priced) == 7 * 17
+        assert len(builds) == 17
+        assert {id(g) for g in builds} == {id(g) for g in graphs.values()}
+
+    def test_edges_match_the_oracle_walk(self, zoo_pass):
+        schedules = list(zoo_pass[1])
+        for model in ("resnet18", "mobilenet", "resnet50", "vit-tiny"):
+            for chips in (2, 4):
+                plan = shard(get_model(model),
+                             MultiChipSystem(isaac_baseline(), chips))
+                schedules.extend(plan.schedules)
+        assert len(schedules) > 119 + 8
+        for schedule in schedules:
+            for seg in range(len(schedule.segments)):
+                assert placement._edges(schedule, seg) == \
+                    reference.edges(schedule, seg)
+
+    def _diamond(self):
+        # conv a feeds conv b through two digital paths, relu -> add
+        # and the add directly, so the walk meets b twice.
+        b = GraphBuilder("diamond")
+        y = b.conv(b.input("x", (1, 4, 8, 8)), 4, 3, padding=1, name="a")
+        z = b.add(b.relu(y, name="r"), y, name="s")
+        out = b.conv(z, 4, 3, padding=1, name="b")
+        return CIMMLC(isaac_baseline()).schedule(b.build(outputs=[out]))
+
+    def test_a_digital_diamond_keeps_both_paths_in_order(self):
+        schedule = self._diamond()
+        assert schedule.segments == [["a", "r", "s", "b"]]
+        bits = schedule.graph.tensors["s_out"].size_bits
+        assert placement._edges(schedule, 0) == \
+            [("a", "b", bits), ("a", "b", bits)] == \
+            reference.edges(schedule, 0)
+
+    def test_a_segment_without_the_digital_op_drops_the_edge(self):
+        schedule = self._diamond()
+        # The relu sits in another segment: only the direct path through
+        # the add remains, and without the add no path does.
+        bits = schedule.graph.tensors["s_out"].size_bits
+        for segments, edges in (([["a", "s", "b"], ["r"]],
+                                 [("a", "b", bits)]),
+                                ([["a", "r", "b"], ["s"]], [])):
+            cut = dataclasses.replace(schedule, segments=segments)
+            assert placement._edges(cut, 0) == edges == \
+                reference.edges(cut, 0)
+
+    def _after(self, mutate):
+        """Profiles of a profiled graph after ``mutate(graph)``, of a
+        fresh graph equal to the result, and from before the change."""
+        arch = isaac_baseline()
+        graph = _conv_relu_pool()
+        before = _named(CostModel(arch).profiles(graph))
+        mutate(graph)
+        return (_named(CostModel(arch).profiles(graph)),
+                _named(CostModel(arch).profiles(_rebuilt(graph))), before)
+
+    def test_add_tensor_drops_the_facts(self):
+        # A tensor's bits: the conv weights drop to 4 bits.
+        def mutate(graph):
+            w = graph.tensors.pop("a_w")
+            graph.add_tensor(TensorSpec(w.name, w.shape, 4, is_weight=True))
+
+        after, fresh, before = self._after(mutate)
+        assert after == fresh != before
+
+    def test_infer_shapes_adding_a_tensor_drops_the_facts(self):
+        # A tensor's shape: a 16x16 input, whose intermediate shapes
+        # infer_shapes adds back.
+        def mutate(graph):
+            graph.tensors["x"] = TensorSpec("x", (1, 3, 16, 16), 8)
+            for name in ("a_out", "r_out", "p_out"):
+                del graph.tensors[name]
+            graph.infer_shapes()
+
+        after, fresh, before = self._after(mutate)
+        assert after == fresh != before
+
+    def test_add_node_drops_the_facts_on_an_attribute(self):
+        # An attribute: the pool re-added with stride 1.
+        def mutate(graph):
+            pool = graph.nodes.pop()
+            graph.tensors["p_out"] = TensorSpec("p_out", (1, 4, 7, 7), 8)
+            graph.add_node(Node(pool.name, pool.op_type, pool.inputs,
+                                pool.outputs, {**pool.attrs, "stride": 1}))
+
+        after, fresh, before = self._after(mutate)
+        assert after == fresh != before
+
+    def test_add_node_drops_the_facts_on_the_op_type(self):
+        # The op type: the relu becomes a softmax (windowed, full fill).
+        def mutate(graph):
+            relu = graph.nodes.pop(1)
+            graph.add_node(Node(relu.name, "Softmax", relu.inputs,
+                                relu.outputs))
+
+        after, fresh, before = self._after(mutate)
+        assert after == fresh != before
+
+    def test_pickled_graph_keeps_equal_profiles(self):
+        # SweepRunner ships graphs to its workers by pickling them.
+        graph = resnet18()
+        CostModel(isaac_baseline()).profiles(graph)
+        shipped = pickle.loads(pickle.dumps(graph))
+        for arch in (isaac_baseline(), get_preset("puma")):
+            assert _named(CostModel(arch).profiles(shipped)) == \
+                _named(CostModel(arch).profiles(resnet18()))
+
+    def test_the_memo_adds_no_compile_cache_lookup(self):
+        graph, cache = mlp(), CompileCache()
+        process = perf_cache.PROCESS_CACHE.stats()
+        for cores in (8, 16, 8):
+            arch = functional_testbed().with_cores(cores)
+            CostModel(arch, cache=cache).profiles(graph)
+            CostModel(arch).profiles(graph)
+        assert cache.stats() == {**CompileCache().stats(),
+                                 "profile_misses": 2, "profile_hits": 1,
+                                 "profiles_stored": 2}
+        assert perf_cache.PROCESS_CACHE.stats() == process
 
 
 class TestGraphSignature:

@@ -1,6 +1,7 @@
 """Serving simulator: traces, partitioning, engine, reports, sweep bridge."""
 
 import json
+import math
 
 import pytest
 
@@ -525,6 +526,19 @@ class TestPowerBudget:
         # A generous budget passes through untouched.
         ok = plan_temporal(arch, SMALL_TENANTS, power_budget=2 * peak)
         assert ok.peak_power <= 2 * peak
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, 0.0, -1.0])
+    def test_meaningless_budget_is_refused(self, budget, tmp_path):
+        # The live planners (and so the fleet) and the cached bridge.
+        arch = functional_testbed()
+        message = "power budget must be finite and > 0"
+        for plan in (plan_spatial, plan_temporal):
+            with pytest.raises(ScheduleError, match=message):
+                plan(arch, SMALL_TENANTS, power_budget=budget)
+        with pytest.raises(ScheduleError, match=message):
+            build_plans(arch, SMALL_TENANTS,
+                        runner=SweepRunner(cache_dir=str(tmp_path)),
+                        power_budget=budget)
 
     def test_temporal_peak_is_max_not_sum(self):
         arch = functional_testbed()
