@@ -48,9 +48,10 @@ class FaultModel:
         losses shrink the *uniform* per-core crossbar budget the
         compiler may use (conservative: bounded by the worst survivor).
     drift_interval:
-        Cycles between drift-forced full weight rewrites, or ``None``
-        for no drift.  Each rewrite stalls the executor for its resident
-        tenant's deploy cycles and pays the deploy (write) energy.
+        Cycles between drift-forced full weight rewrites (finite and
+        > 0), or ``None`` for no drift.  Each rewrite stalls the
+        executor for its resident tenant's deploy cycles and pays the
+        deploy (write) energy.
     link_derate:
         Multiplier in ``(0, 1]`` on inter-chip / front-end link
         bandwidth (1.0 = healthy link).
@@ -77,9 +78,11 @@ class FaultModel:
             raise CIMError(f"dead crossbar ids must be >= 0, got {xbs}")
         object.__setattr__(self, "dead_cores", cores)
         object.__setattr__(self, "dead_crossbars", xbs)
-        if self.drift_interval is not None and self.drift_interval <= 0:
+        if self.drift_interval is not None and not (
+                math.isfinite(self.drift_interval)
+                and self.drift_interval > 0):
             raise CIMError(
-                f"drift_interval must be > 0 cycles, got "
+                f"drift_interval must be finite and > 0 cycles, got "
                 f"{self.drift_interval}")
         if not 0.0 < self.link_derate <= 1.0:
             raise CIMError(

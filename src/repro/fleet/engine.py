@@ -290,7 +290,7 @@ class FleetEngine:
                 if rid not in dead:
                     cores[rid].on_timer(tenant, now, loop)
             elif kind == _COMPLETE:
-                rid, ex_name, batch, dispatched = payload
+                rid, ex_name, batch = payload
                 core = cores[rid]
                 if rid in dead:
                     # The chip died with this batch in flight: the work
@@ -306,8 +306,7 @@ class FleetEngine:
                         reasons.get("chip_death", 0) + len(batch)
                     continue
                 core.on_complete(ex_name, batch, now, loop,
-                                 latency_at=now + hop_out,
-                                 dispatched=dispatched)
+                                 latency_at=now + hop_out)
                 if now + hop_out > horizon:
                     horizon = now + hop_out
                 for req in batch:
@@ -495,7 +494,7 @@ class FleetEngine:
                           link.serialization_overhead,
                       "energy_per_bit": link.energy_per_bit},
                 completed=sum(len(v) for core in cores
-                              for v in core.finished.values()),
+                              for v in core.latencies.values()),
                 rejected=sum(front_rejected.values()) + sum(
                     n for core in cores
                     for n in core.rejected.values()))
@@ -517,8 +516,7 @@ class FleetEngine:
         tenant_stats: List[TenantStats] = []
         for t in plan.replicas[0].tenants:
             name = t.spec.name
-            lats = [f.latency for core in cores
-                    for f in core.finished[name]]
+            lats = [lat for core in cores for lat in core.latencies[name]]
             ordered = sorted(lats)
             completed = len(lats)
             rejected = front_rejected[name] + sum(
@@ -557,7 +555,7 @@ class FleetEngine:
                 rid=core.rid,
                 mode=core.plan.mode,
                 arch=core.plan.arch_name,
-                completed=sum(len(v) for v in core.finished.values()),
+                completed=sum(len(v) for v in core.latencies.values()),
                 busy_cycles=busy,
                 switch_cycles=fold(ex.switch_cycles
                                    for ex in core.executors),

@@ -17,6 +17,9 @@ and turns the implicit process memos off for the duration of a
 The swap is in-process only: sweep pool workers run production code.
 :func:`pushed_arrivals` swaps the serve/fleet event loop the same way,
 for the equality tests and ``scripts/check_event_loop_oracle.py``.
+The scalar trace generators (``_*_trace_scalar``, one RNG call per
+draw) are the twins of :mod:`repro.serve.workload`'s buffered
+generators; only the equality tests call them.
 No module under ``repro`` but :mod:`repro.perf.bench` imports this one
 (a structure test enforces it).
 """
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import random
 from contextlib import contextmanager
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
@@ -40,6 +44,7 @@ from ..sched.compiler import CIMMLC
 from ..sched.costs import CostModel, OpProfile
 from ..sched.schedule import OpDecision, Schedule
 from ..serve import engine as serve_engine
+from ..serve.workload import Request, TenantSpec
 from ..sim import performance
 from . import cache as perf_cache
 from .cache import CompileCache
@@ -597,6 +602,77 @@ def best_bounds(tables: Sequence, cuts: Sequence[int]
     bounds.append(0)
     bounds.reverse()
     return bounds
+
+
+# ---------------------------------------------------------------------------
+# Trace generators
+# ---------------------------------------------------------------------------
+
+
+def _pick(rng: random.Random, tenants: Sequence[TenantSpec]) -> str:
+    """Weighted tenant choice (inverse-CDF; stable across platforms)."""
+    total = sum(t.weight for t in tenants)
+    x = rng.random() * total
+    for t in tenants:
+        x -= t.weight
+        if x < 0:
+            return t.name
+    return tenants[-1].name
+
+
+def _poisson_trace_scalar(tenants, rate, num_requests, seed=0):
+    """Scalar reference for :func:`poisson_trace` (one RNG call per
+    event); the vectorized path is pinned bit-identical to this."""
+    rng = random.Random(seed)
+    clock = 0.0
+    out: List[Request] = []
+    for i in range(num_requests):
+        clock += rng.expovariate(rate)
+        out.append(Request(i, _pick(rng, tenants), clock))
+    return out
+
+
+def _bursty_trace_scalar(tenants, rate, num_requests, seed=0,
+                         burst_factor=1.75, calm_factor=0.25,
+                         mean_dwell_requests=16.0):
+    """Scalar reference for :func:`bursty_trace`; the vectorized path is
+    pinned bit-identical to this."""
+    rng = random.Random(seed)
+    clock = 0.0
+    bursting = False
+    mean_dwell = mean_dwell_requests / rate
+    state_ends = rng.expovariate(1.0 / mean_dwell)
+    out: List[Request] = []
+    for i in range(num_requests):
+        while True:
+            state_rate = rate * (burst_factor if bursting else calm_factor)
+            gap = rng.expovariate(state_rate)
+            if clock + gap <= state_ends:
+                clock += gap
+                break
+            # The state flips before this arrival would land; restart the
+            # (memoryless) draw from the flip instant.
+            clock = state_ends
+            bursting = not bursting
+            state_ends = clock + rng.expovariate(1.0 / mean_dwell)
+        out.append(Request(i, _pick(rng, tenants), clock))
+    return out
+
+
+def _diurnal_trace_scalar(tenants, rate, num_requests, seed=0,
+                          period=2_000_000.0, depth=0.8):
+    """Scalar reference for :func:`diurnal_trace`; the batched path is
+    pinned bit-identical to this."""
+    rng = random.Random(seed)
+    peak = rate * (1.0 + depth)
+    clock = 0.0
+    out: List[Request] = []
+    while len(out) < num_requests:
+        clock += rng.expovariate(peak)
+        current = rate * (1.0 + depth * math.sin(2 * math.pi * clock / period))
+        if rng.random() * peak <= current:
+            out.append(Request(len(out), _pick(rng, tenants), clock))
+    return out
 
 
 # ---------------------------------------------------------------------------

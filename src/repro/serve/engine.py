@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ScheduleError
 from .partition import ServingPlan, TenantPlan
@@ -34,23 +34,6 @@ from .workload import Request, _require_positive
 #: Event kinds shared by the serve and fleet engines.  Ordering ties on
 #: the heap are broken by the per-loop sequence number, never by kind.
 _ARRIVAL, _TIMER, _COMPLETE = 0, 1, 2
-
-
-class FinishedRequest(NamedTuple):
-    """One completed request with its internal timestamps exposed.
-
-    ``latency`` is measured at the engine's front end (for the fleet:
-    completion plus the response hop, minus trace arrival);
-    ``dispatched`` / ``completed`` are the request's batch's executor
-    begin/end times — kept on the record (instead of being discarded
-    after aggregation) so the trace layer and post-hoc analyses can
-    reconstruct per-request timelines.
-    """
-
-    request: Request
-    latency: float
-    dispatched: float
-    completed: float
 
 
 class EventLoop:
@@ -274,7 +257,9 @@ class ReplicaCore:
         #: Arrivals still en route to this core's queues (per tenant);
         #: the batch policies' "more arrivals may come" signal.
         self.pending: Dict[str, int] = {name: 0 for name in self.queues}
-        self.finished: Dict[str, List[FinishedRequest]] = {
+        #: Per-tenant latency of every completed request, in completion
+        #: order: all a report reads of a completed request.
+        self.latencies: Dict[str, List[float]] = {
             name: [] for name in self.queues
         }
         self.rejected: Dict[str, int] = {name: 0 for name in self.queues}
@@ -372,7 +357,7 @@ class ReplicaCore:
         if self.recorder is not None:
             self._record_batch(ex, best.spec.name, batch, now, switch,
                                service)
-        loop.push(done, _COMPLETE, (self.rid, ex.name, tuple(batch), now))
+        loop.push(done, _COMPLETE, (self.rid, ex.name, tuple(batch)))
 
     def _record_batch(self, ex: _Executor, tenant: str,
                       batch: Sequence[Request], now: float,
@@ -433,19 +418,18 @@ class ReplicaCore:
 
     def on_complete(self, ex_name: str, batch: Sequence[Request],
                     now: float, loop: EventLoop,
-                    latency_at: Optional[float] = None,
-                    dispatched: float = 0.0) -> None:
+                    latency_at: Optional[float] = None) -> None:
         """A batch finished: record per-request latencies and re-dispatch.
 
-        ``latency_at`` lets the fleet engine measure latency at the
-        front end (completion plus the response hop) while the executor
-        frees up at ``now``; ``dispatched`` is the batch's executor
-        begin time (carried on the completion event payload).
+        Only each request's latency is kept (one float in
+        :attr:`latencies`), so a run's memory grows by one float per
+        completed request.  ``latency_at`` lets the fleet engine measure
+        latency at the front end (completion plus the response hop)
+        while the executor frees up at ``now``.
         """
         measured = now if latency_at is None else latency_at
         for req in batch:
-            self.finished[req.tenant].append(FinishedRequest(
-                req, measured - req.arrival, dispatched, now))
+            self.latencies[req.tenant].append(measured - req.arrival)
         self.try_dispatch(self._by_name[ex_name], now, loop)
 
     def drained(self) -> bool:
@@ -508,9 +492,8 @@ class ServingEngine:
             elif kind == _TIMER:
                 core.on_timer(payload[1], now, loop)
             else:  # _COMPLETE
-                _, ex_name, batch, dispatched = payload
-                core.on_complete(ex_name, batch, now, loop,
-                                 dispatched=dispatched)
+                _, ex_name, batch = payload
+                core.on_complete(ex_name, batch, now, loop)
 
         core.assert_drained()
         trace_digest = None
@@ -520,14 +503,14 @@ class ServingEngine:
                 max_size=self.policy.max_size,
                 batch_timeout=getattr(self.policy, "timeout", None),
                 mode=self.plan.mode, arch=self.plan.arch_name,
-                completed=sum(len(v) for v in core.finished.values()),
+                completed=sum(len(v) for v in core.latencies.values()),
                 rejected=sum(core.rejected.values()),
                 slo_factor=slo_factor)
             trace_digest = recorder.finish().digest()
         return build_report(
             plan=self.plan,
             policy_label=self.policy.describe(),
-            finished=core.finished,
+            latencies=core.latencies,
             rejected=core.rejected,
             batch_sizes=core.batch_sizes,
             horizon=core.horizon,

@@ -1,11 +1,13 @@
 """Serving metrics: tail latency, throughput, utilization, SLO attainment.
 
 A :class:`ServeReport` is a plain frozen value object built once per
-simulation.  It keeps every per-request latency (traces are short), so
-``to_dict()`` round-trips the complete outcome — the determinism tests
-assert bit-identical dicts across runs — and renders the classic serving
-table (per-tenant p50/p95/p99, throughput in requests per mega-cycle,
-executor utilization, reconfiguration share).
+simulation.  It keeps every per-request latency: one float per
+completed request, which is all the engines keep of a completed
+request.  So ``to_dict()`` round-trips the complete outcome (the
+determinism tests assert bit-identical dicts across runs), and the
+report renders the classic serving table (per-tenant p50/p95/p99,
+throughput in requests per mega-cycle, executor utilization,
+reconfiguration share).
 """
 
 from __future__ import annotations
@@ -296,7 +298,7 @@ class ServeReport:
 
 
 def build_report(plan, policy_label: str,
-                 finished: Dict[str, List[Tuple]],
+                 latencies: Dict[str, List[float]],
                  rejected: Dict[str, int],
                  batch_sizes: Dict[str, List[int]],
                  horizon: float,
@@ -307,17 +309,19 @@ def build_report(plan, policy_label: str,
                  ) -> ServeReport:
     """Assemble a :class:`ServeReport` from raw engine tallies.
 
-    Each tenant's SLO is its spec's absolute ``slo_cycles`` when set,
-    otherwise ``slo_factor`` times its isolated single-inference latency
-    under this plan.  ``executors`` rows are ``(name, tenant names, busy,
-    switch cycles, switches, energy)``; ``tenant_energy`` carries the
-    engine's per-tenant energy tally (defaults to zero).
+    ``latencies`` maps each tenant to its completed requests' latencies
+    in completion order.  Each tenant's SLO is its spec's absolute
+    ``slo_cycles`` when set, otherwise ``slo_factor`` times its isolated
+    single-inference latency under this plan.  ``executors`` rows are
+    ``(name, tenant names, busy, switch cycles, switches, energy)``;
+    ``tenant_energy`` carries the engine's per-tenant energy tally
+    (defaults to zero).
     """
     tenant_energy = tenant_energy or {}
     tenant_stats: List[TenantStats] = []
     for tp in plan.tenants:
         name = tp.spec.name
-        lats = [f.latency for f in finished[name]]
+        lats = latencies[name]
         ordered = sorted(lats)
         completed = len(lats)
         slo = tp.spec.slo_cycles if tp.spec.slo_cycles is not None \

@@ -24,10 +24,15 @@ in numpy batches — once as raw uniforms (``random_sample``) and once
 exp-transformed (``standard_exponential``, the same ``-log(1 - u)`` that
 ``Random.expovariate`` computes, through the same C ``log``).  Arrival
 clocks come from sequential ``np.cumsum`` accumulation, so every float
-matches the scalar reference generators (kept as ``_*_scalar``, pinned
-bit-identical by digest tests) while fleet-scale traces (10^6+ requests)
-generate in seconds.  Rates are expressed in requests per cycle; the CLI
-converts from the friendlier requests per mega-cycle.
+matches the scalar reference generators (``_*_trace_scalar`` in
+:mod:`repro.perf.reference`, pinned bit-identical by the equality tests)
+while fleet-scale traces (10^6+ requests) generate in seconds.
+
+Each generator walks the stream in fixed buffers of :data:`_BUFFER`
+positions, whatever the trace length, so generating a trace needs at
+most a few MiB on top of the trace it returns.  Rates are expressed in
+requests per cycle; the CLI converts from the friendlier requests per
+mega-cycle.
 """
 
 from __future__ import annotations
@@ -42,6 +47,11 @@ from typing import Dict, List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from ..errors import ScheduleError
+
+#: Stream positions a generator views at a time.  Generation memory
+#: beyond the returned trace is bounded by this, not by the trace
+#: length; the positions a trace consumes do not depend on it.
+_BUFFER = 4096
 
 
 def _require_positive(what: str, value: float) -> None:
@@ -94,17 +104,6 @@ def _validate(tenants: Sequence[TenantSpec], rate: float,
     _require_positive("arrival rate", rate)
     if num_requests < 0:
         raise ScheduleError(f"num_requests must be >= 0, got {num_requests}")
-
-
-def _pick(rng: random.Random, tenants: Sequence[TenantSpec]) -> str:
-    """Weighted tenant choice (inverse-CDF; stable across platforms)."""
-    total = sum(t.weight for t in tenants)
-    x = rng.random() * total
-    for t in tenants:
-        x -= t.weight
-        if x < 0:
-            return t.name
-    return tenants[-1].name
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +162,9 @@ class _TwinStream:
 
 def _pick_batch(u: np.ndarray,
                 tenants: Sequence[TenantSpec]) -> List[int]:
-    """Vectorized :func:`_pick`: tenant indices for a batch of uniforms,
-    reproducing the scalar sequential-subtraction arithmetic bit for
-    bit."""
+    """Vectorized weighted tenant choice: tenant indices for a batch of
+    uniforms, reproducing the scalar inverse-CDF sequential subtraction
+    (``repro.perf.reference._pick``) bit for bit."""
     total = sum(t.weight for t in tenants)
     x = u * total
     idx = np.full(len(u), len(tenants) - 1, dtype=np.intp)
@@ -190,66 +189,6 @@ def _emit(out: List[Request], tenants: Sequence[TenantSpec],
 
 
 # ---------------------------------------------------------------------------
-# Scalar reference generators (digest-pinned twins of the public API)
-# ---------------------------------------------------------------------------
-
-
-def _poisson_trace_scalar(tenants, rate, num_requests, seed=0):
-    """Scalar reference for :func:`poisson_trace` (one RNG call per
-    event); the vectorized path is pinned bit-identical to this."""
-    rng = random.Random(seed)
-    clock = 0.0
-    out: List[Request] = []
-    for i in range(num_requests):
-        clock += rng.expovariate(rate)
-        out.append(Request(i, _pick(rng, tenants), clock))
-    return out
-
-
-def _bursty_trace_scalar(tenants, rate, num_requests, seed=0,
-                         burst_factor=1.75, calm_factor=0.25,
-                         mean_dwell_requests=16.0):
-    """Scalar reference for :func:`bursty_trace`; the vectorized path is
-    pinned bit-identical to this."""
-    rng = random.Random(seed)
-    clock = 0.0
-    bursting = False
-    mean_dwell = mean_dwell_requests / rate
-    state_ends = rng.expovariate(1.0 / mean_dwell)
-    out: List[Request] = []
-    for i in range(num_requests):
-        while True:
-            state_rate = rate * (burst_factor if bursting else calm_factor)
-            gap = rng.expovariate(state_rate)
-            if clock + gap <= state_ends:
-                clock += gap
-                break
-            # The state flips before this arrival would land; restart the
-            # (memoryless) draw from the flip instant.
-            clock = state_ends
-            bursting = not bursting
-            state_ends = clock + rng.expovariate(1.0 / mean_dwell)
-        out.append(Request(i, _pick(rng, tenants), clock))
-    return out
-
-
-def _diurnal_trace_scalar(tenants, rate, num_requests, seed=0,
-                          period=2_000_000.0, depth=0.8):
-    """Scalar reference for :func:`diurnal_trace`; the batched path is
-    pinned bit-identical to this."""
-    rng = random.Random(seed)
-    peak = rate * (1.0 + depth)
-    clock = 0.0
-    out: List[Request] = []
-    while len(out) < num_requests:
-        clock += rng.expovariate(peak)
-        current = rate * (1.0 + depth * math.sin(2 * math.pi * clock / period))
-        if rng.random() * peak <= current:
-            out.append(Request(len(out), _pick(rng, tenants), clock))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Public generators
 # ---------------------------------------------------------------------------
 
@@ -258,19 +197,21 @@ def poisson_trace(tenants: Sequence[TenantSpec], rate: float,
                   num_requests: int, seed: int = 0) -> List[Request]:
     """Constant-rate Poisson arrivals, tenants drawn by weight.
 
-    Fully vectorized: the stream alternates gap/choice draws, so one
-    twin-view batch of ``2 n`` positions yields every gap (even
-    positions, exp view) and every tenant choice (odd positions, raw
-    view) at once.
+    Vectorized per buffer: the stream alternates gap/choice draws, so
+    one twin-view buffer yields ``_BUFFER / 2`` gaps (even positions,
+    exp view) and their tenant choices (odd positions, raw view) at
+    once; each buffer's cumsum continues from the last clock.
     """
     _validate(tenants, rate, num_requests)
-    if num_requests == 0:
-        return []
     stream = _TwinStream(seed)
-    e, u = stream.take(2 * num_requests)
-    clocks = np.cumsum(e[0::2] / rate)
+    clock = 0.0
     out: List[Request] = []
-    _emit(out, tenants, u[1::2], clocks)
+    while len(out) < num_requests:
+        k = min(num_requests - len(out), _BUFFER // 2)
+        e, u = stream.take(2 * k)
+        clocks = np.cumsum(np.concatenate(((clock,), e[0::2] / rate)))[1:]
+        _emit(out, tenants, u[1::2], clocks)
+        clock = float(clocks[-1])
     return out
 
 
@@ -287,8 +228,9 @@ def bursty_trace(tenants: Sequence[TenantSpec], rate: float,
 
     Vectorized per dwell period: within one state the stream is a regular
     gap/choice alternation, so each dwell is one batched cumsum plus a
-    crossing search; only the state flips (one per
-    ``mean_dwell_requests`` arrivals) run in Python.
+    crossing search (in chunks of at most ``_BUFFER`` positions); only
+    the state flips (one per ``mean_dwell_requests`` arrivals) run in
+    Python.
     """
     _validate(tenants, rate, num_requests)
     if burst_factor <= 0 or calm_factor <= 0:
@@ -301,7 +243,7 @@ def bursty_trace(tenants: Sequence[TenantSpec], rate: float,
     e0, _ = stream.take(1)
     state_ends = e0[0] / dwell_rate
     out: List[Request] = []
-    chunk = max(64, int(4 * mean_dwell_requests))
+    chunk = min(_BUFFER // 2, max(64, int(4 * mean_dwell_requests)))
     while len(out) < num_requests:
         state_rate = rate * (burst_factor if bursting else calm_factor)
         need = num_requests - len(out)
@@ -339,10 +281,11 @@ def diurnal_trace(tenants: Sequence[TenantSpec], rate: float,
     stays ``rate``.
 
     The thinning decision stream is data-dependent (an accepted candidate
-    consumes one extra choice draw), so candidates run through a batched
-    buffer: uniforms and their exponential transforms are materialized in
-    numpy blocks and the light accept/reject state machine walks them as
-    plain Python floats.
+    consumes one extra choice draw), so candidates run through a fixed
+    buffer of ``_BUFFER`` positions at a time: uniforms and their
+    exponential transforms are materialized in numpy blocks and the
+    light accept/reject state machine walks each buffer as plain Python
+    floats.
     """
     _validate(tenants, rate, num_requests)
     if not 0 <= depth < 1:
@@ -359,7 +302,7 @@ def diurnal_trace(tenants: Sequence[TenantSpec], rate: float,
     total_w = sum(weights)
     last = len(tenants) - 1
     while len(out) < num_requests:
-        e_v, u_v = stream.peek(3 * max(64, num_requests - len(out)))
+        e_v, u_v = stream.peek(_BUFFER)
         e, u = e_v.tolist(), u_v.tolist()
         m = len(e)
         i = 0
@@ -397,7 +340,7 @@ def diurnal_bursty_trace(tenants: Sequence[TenantSpec], rate: float,
     ``(1 + depth sin) / (1 + depth)``), so the long-run rate stays
     ``rate`` while the trace carries *both* the day/night swing an
     autoscaler tracks and the bursts that stress routing and admission.
-    Same batched-buffer scheme as :func:`diurnal_trace`.
+    Same fixed-buffer scheme as :func:`diurnal_trace`.
     """
     _validate(tenants, rate, num_requests)
     if not 0 <= depth < 1:
@@ -421,7 +364,7 @@ def diurnal_bursty_trace(tenants: Sequence[TenantSpec], rate: float,
     total_w = sum(weights)
     last = len(tenants) - 1
     while len(out) < num_requests:
-        e_v, u_v = stream.peek(4 * max(64, num_requests - len(out)))
+        e_v, u_v = stream.peek(_BUFFER)
         e, u = e_v.tolist(), u_v.tolist()
         m = len(e)
         i = 0

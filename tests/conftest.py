@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite."""
 
+import tracemalloc
+
 import pytest
 
 from repro.arch import (
@@ -47,3 +49,24 @@ def residual_graph():
 @pytest.fixture
 def conv_relu_graph():
     return conv_relu_example()
+
+
+@pytest.fixture
+def traced_peak():
+    """``measure(fn)`` runs ``fn()`` under :mod:`tracemalloc` and returns
+    ``(result, peak, retained)``: the bytes traced at the call's peak
+    and at its end, both above what was traced when it started."""
+    def measure(fn):
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = fn()
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            if started:
+                tracemalloc.stop()
+        return result, peak - base, retained - base
+    return measure

@@ -312,6 +312,16 @@ class TestServe:
             "chip_death_time must be finite and >= 0")
         assert "\n" not in str(exc.value.code)
 
+    @pytest.mark.parametrize("interval", ["nan", "inf"])
+    def test_non_finite_drift_interval_exits_with_one_line(self, interval):
+        with pytest.raises(SystemExit) as exc:
+            main(["faults", "--arch", "functional-testbed", "--tenants",
+                  "mlp", "--requests", "200", "--replicas", "2",
+                  "--drift-interval", interval])
+        assert str(exc.value.code).startswith(
+            "drift_interval must be finite and > 0")
+        assert "\n" not in str(exc.value.code)
+
     def test_bad_batch_policy(self):
         with pytest.raises(SystemExit, match="bad batch policy"):
             main(self.ARGS[:-2] + ["--batch", "warp:9"])

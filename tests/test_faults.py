@@ -84,6 +84,12 @@ class TestFaultModel:
         with pytest.raises(CIMError):
             FaultModel(chip_death_rid=-2)
 
+    @pytest.mark.parametrize("interval", [math.nan, math.inf, -math.inf])
+    def test_drift_interval_must_be_finite(self, interval):
+        with pytest.raises(CIMError,
+                           match="drift_interval must be finite and > 0"):
+            FaultModel(drift_interval=interval)
+
     @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
     def test_chip_death_time_must_be_finite(self, time):
         with pytest.raises(CIMError,

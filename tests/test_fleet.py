@@ -518,6 +518,18 @@ class TestFleetPipeline:
                 p99[spec] = report.p99
             assert p99["least-loaded"] < p99["rr"]
 
+    def test_memory_per_request_is_bounded(self, traced_peak):
+        # A completed request leaves one latency float behind; nothing
+        # else the run allocates may grow faster than the trace.
+        specs = [TenantSpec("mlp", "mlp", 3.0),
+                 TenantSpec("lenet", "lenet", 1.0)]
+        plan = build_fleet(functional_testbed(), specs, replicas=2)
+        n = 20_000
+        trace = make_trace("diurnal-bursty", specs, 1e-4, n, seed=0)
+        report, peak, _ = traced_peak(lambda: simulate_fleet(plan, trace))
+        assert report.completed + report.rejected == n
+        assert peak / n <= 128
+
     def test_sweep_grid_and_table(self):
         arch = functional_testbed()
         plan = build_fleet_cached(arch, SMALL_TENANTS, replicas=2)

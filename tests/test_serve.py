@@ -394,6 +394,21 @@ class TestPartition:
 # ---------------------------------------------------------------------------
 
 
+class TestMemory:
+    def test_memory_per_request_is_bounded(self, traced_peak):
+        # A completed request leaves one latency float behind; nothing
+        # else the run allocates may grow faster than the trace.
+        specs = [TenantSpec("mlp", "mlp", 3.0),
+                 TenantSpec("lenet", "lenet", 1.0)]
+        plan = make_plan("spatial", functional_testbed(), specs)
+        n = 20_000
+        trace = make_trace("diurnal-bursty", specs, 1e-4, n, seed=0)
+        engine = ServingEngine(plan, TimeoutBatch(8, 50_000.0))
+        report, peak, _ = traced_peak(lambda: engine.run(trace))
+        assert report.completed + report.rejected == n
+        assert peak / n <= 128
+
+
 class TestDeterminism:
     def test_bit_identical_reports(self):
         arch = functional_testbed()

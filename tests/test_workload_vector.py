@@ -3,9 +3,11 @@
 The vectorized generators in :mod:`repro.serve.workload` batch their
 draws through numpy but must reproduce the original scalar algorithms
 *bit for bit* — every arrival float, every tenant pick, in order.  These
-tests compare against the retained ``_*_scalar`` twins across trace
-kinds, sizes, and seeds, and pin absolute digests so an accidental
-change to either side (or to numpy's RNG plumbing) fails loudly.
+tests compare against the scalar twins in :mod:`repro.perf.reference`
+across trace kinds, sizes (up to several stream buffers), and seeds,
+pin absolute digests so an accidental change to either side (or to
+numpy's RNG plumbing) fails loudly, and bound the memory generation
+needs beyond the trace it returns.
 """
 
 import struct
@@ -13,11 +15,15 @@ import struct
 import pytest
 
 from repro.errors import ScheduleError
-from repro.serve import TenantSpec, make_trace, trace_digest
-from repro.serve.workload import (
+from repro.perf.reference import (
     _bursty_trace_scalar,
     _diurnal_trace_scalar,
     _poisson_trace_scalar,
+)
+from repro.serve import TenantSpec, make_trace, trace_digest
+from repro.serve.workload import (
+    _BUFFER,
+    TRACES,
     bursty_trace,
     diurnal_bursty_trace,
     diurnal_trace,
@@ -27,6 +33,11 @@ from repro.serve.workload import (
 TENANTS = [TenantSpec("a", "mlp", 3.0), TenantSpec("b", "mlp", 1.0)]
 SIZES = (0, 1, 7, 500)
 SEEDS = (0, 1, 42)
+
+#: A trace size whose generation crosses at least three stream buffers
+#: (every request consumes two or more stream positions), ending in a
+#: partial buffer.
+ACROSS_BUFFERS = 3 * _BUFFER // 2 + 7
 
 #: (vectorized, scalar reference) per trace kind.
 PAIRS = {
@@ -50,6 +61,28 @@ class TestBitIdentical:
         fast, ref = PAIRS[kind]
         assert bits(fast(TENANTS, 1e-4, n, seed=seed)) == \
             bits(ref(TENANTS, 1e-4, n, seed=seed))
+
+    @pytest.mark.parametrize("kind", sorted(PAIRS))
+    @pytest.mark.parametrize("seed", (0, 5))
+    def test_matches_scalar_reference_across_buffers(self, kind, seed):
+        fast, ref = PAIRS[kind]
+        assert bits(fast(TENANTS, 1e-4, ACROSS_BUFFERS, seed=seed)) == \
+            bits(ref(TENANTS, 1e-4, ACROSS_BUFFERS, seed=seed))
+
+    def test_diurnal_custom_knobs_across_buffers(self):
+        kw = dict(period=300_000.0, depth=0.95)
+        assert bits(diurnal_trace(TENANTS, 2e-4, ACROSS_BUFFERS, seed=9,
+                                  **kw)) == \
+            bits(_diurnal_trace_scalar(TENANTS, 2e-4, ACROSS_BUFFERS,
+                                       seed=9, **kw))
+
+    def test_bursty_long_dwells_across_buffers(self):
+        # Dwells longer than a buffer: a dwell's cumsum spans chunks.
+        kw = dict(mean_dwell_requests=2.0 * _BUFFER)
+        assert bits(bursty_trace(TENANTS, 1e-4, ACROSS_BUFFERS, seed=3,
+                                 **kw)) == \
+            bits(_bursty_trace_scalar(TENANTS, 1e-4, ACROSS_BUFFERS,
+                                      seed=3, **kw))
 
     def test_bursty_custom_knobs(self):
         kw = dict(burst_factor=3.0, calm_factor=0.1,
@@ -83,6 +116,17 @@ class TestPinnedDigests:
         trace = make_trace(kind, TENANTS, rate=1e-4, num_requests=500,
                            seed=7)
         assert trace_digest(trace)[:16] == self.EXPECTED[kind]
+
+    #: ``diurnal-bursty`` has no scalar twin, so a size that spans many
+    #: stream buffers (20,000 requests consume at least 40,000
+    #: positions) is pinned by digest instead, per seed.
+    ACROSS = {0: "a68c81309663ec68", 1: "d871ae296d319de6"}
+
+    @pytest.mark.parametrize("seed", sorted(ACROSS))
+    def test_diurnal_bursty_digest_pinned_across_buffers(self, seed):
+        trace = make_trace("diurnal-bursty", TENANTS, rate=1e-4,
+                           num_requests=20_000, seed=seed)
+        assert trace_digest(trace)[:16] == self.ACROSS[seed]
 
 
 class TestDiurnalBursty:
@@ -118,6 +162,19 @@ class TestDiurnalBursty:
         via = make_trace("diurnal-bursty", TENANTS, 1e-4, 50, seed=5)
         direct = diurnal_bursty_trace(TENANTS, 1e-4, 50, seed=5)
         assert bits(via) == bits(direct)
+
+
+class TestGenerationMemory:
+    """Generation holds a few stream buffers on top of the trace it
+    returns, whatever the trace's length."""
+
+    @pytest.mark.parametrize("kind", sorted(TRACES))
+    def test_peak_above_the_trace_is_bounded(self, kind, traced_peak):
+        n = 100_000
+        trace, peak, retained = traced_peak(
+            lambda: make_trace(kind, TENANTS, 1e-4, n, seed=0))
+        assert len(trace) == n
+        assert peak - retained <= 4 * 2 ** 20
 
 
 class TestTraceDigest:
