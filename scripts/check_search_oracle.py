@@ -2,8 +2,10 @@
 """Nightly check: the memoized compile kernels match their scalar
 oracles.
 
-Compiles every zoo model on every preset, and on ``isaac-baseline``
-resized to each of ``CORES``, and checks four things:
+Compiles every zoo model on every preset, on ``isaac-baseline``
+resized to each of ``CORES``, and on ``isaac-baseline`` with a
+zero-cost mesh NoC (free like the preset's ``ideal`` one, without being
+``ideal``), and checks four things:
 
 * every call of the cached ``sched.cg.duplicate_min_bottleneck`` — memo
   hits as well as misses — against
@@ -26,13 +28,16 @@ resized to each of ``CORES``, and checks four things:
   pairs runs once per operator and takes minutes per model at 2048
   cores.  The seam puts the production method back on exit, and
   ``repro bench`` keeps timing the unmemoized oracle;
-* each segment's ``place_greedy`` against
+* each segment's ``place_greedy``, unanchored and with the I/O anchor
+  at core 0 (the shard path's link port), against
   :func:`repro.perf.reference.place_greedy` inside the seam, where the
   CIM-to-CIM edges come from the per-segment walk
-  :func:`repro.perf.reference.edges` instead of the per-graph paths.
+  :func:`repro.perf.reference.edges` instead of the per-graph paths and
+  every core is scored even on a free NoC, where production skips the
+  scoring.
 
-Exits non-zero naming the first mismatch.  Takes about a minute on a
-2-vCPU host.
+Exits non-zero naming the first mismatch.  Takes about 80 s on a
+2-vCPU host, half of it in the oracle's anchored placements.
 
 Usage: ``PYTHONPATH=src python scripts/check_search_oracle.py``
 """
@@ -42,16 +47,20 @@ import functools
 import sys
 import time
 
-from repro.arch import PRESETS, isaac_baseline
+from repro.arch import PRESETS, isaac_baseline, mesh
 from repro.arch.noc import NocSpec
 from repro.errors import CapacityError
 from repro.models import MODEL_ZOO
 from repro.perf import reference
+from repro.scale.shard import LINK_PORT_CORE
 from repro.sched import CIMMLC, cg
 from repro.sched.costs import CostModel, OpProfile
 from repro.sched.placement import place_greedy
 
 CORES = (8, 16, 64, 256, 512, 768, 1024, 2048)
+
+#: ``place_greedy`` keyword sets each segment is placed with.
+PLACEMENTS = ({}, {"io_anchor": LINK_PORT_CORE})
 
 #: The scalar NoC oracle, memoized for this script's reference compiles.
 memoized_average_cost = functools.lru_cache(maxsize=None)(
@@ -106,6 +115,9 @@ def archs():
     for cores in CORES:
         yield f"isaac-baseline x {cores} cores", \
             isaac_baseline().with_cores(cores)
+    base = isaac_baseline()
+    yield "isaac-baseline, mesh(0.0) NoC", dataclasses.replace(
+        base, chip=dataclasses.replace(base.chip, core_noc=mesh(0.0)))
 
 
 def main() -> int:
@@ -141,14 +153,17 @@ def main() -> int:
             profiles = named(CostModel(arch).profiles(graph))
             schedule = None if isinstance(fast, CapacityError) \
                 else fast.schedule
-            segments = range(len(schedule.segments)) if schedule else ()
-            placed = [place_greedy(schedule, seg) for seg in segments]
+            cases = [(seg, kwargs) for seg in range(len(schedule.segments))
+                     for kwargs in PLACEMENTS] if schedule else []
+            placed = [place_greedy(schedule, seg, **kwargs)
+                      for seg, kwargs in cases]
             with reference.installed():
                 NocSpec.average_cost = memoized_average_cost
                 oracle = outcome(CIMMLC(arch).compile, factory())
                 oracle_profiles = named(CostModel(arch).profiles(graph))
-                oracle_placed = [reference.place_greedy(schedule, seg)
-                                 for seg in segments]
+                oracle_placed = [reference.place_greedy(schedule, seg,
+                                                        **kwargs)
+                                 for seg, kwargs in cases]
             profiled += 1
             if profiles != oracle_profiles:
                 print(f"MISMATCH {model} on {label}: profiles differ "
@@ -161,12 +176,12 @@ def main() -> int:
                     print(f"MISMATCH {model} on {label}: {part} "
                           f"differs from the reference compile")
                     return 1
-            for seg, (fast_seg, oracle_seg) in enumerate(
-                    zip(placed, oracle_placed)):
+            for (seg, kwargs), fast_seg, oracle_seg in zip(
+                    cases, placed, oracle_placed):
                 placements += 1
                 if fast_seg != oracle_seg:
                     print(f"MISMATCH {model} on {label}: placement of "
-                          f"segment {seg}")
+                          f"segment {seg} {kwargs}")
                     return 1
     print(f"search oracle check passed: {searches} searches, {profiled} "
           f"profile dicts, {compiles} compiles and {placements} "

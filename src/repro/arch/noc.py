@@ -86,11 +86,16 @@ class NocSpec:
         One of :data:`TOPOLOGIES`.  ``"ideal"`` means transfers are free
         (the paper marks unconstrained parameters with ``\\``).
     cycles_per_hop:
-        Latency multiplier applied to the hop-count matrix.
+        Latency multiplier applied to the hop-count matrix; finite and
+        >= 0.
     cost_matrix:
-        Explicit per-pair cost (required iff ``topology == "matrix"``).
+        Explicit per-pair cost (required iff ``topology == "matrix"``);
+        every entry finite and >= 0.
     grid:
         Optional (rows, cols) layout for mesh hop generation.
+
+    :attr:`is_free` tells whether every transfer costs exactly 0, so a
+    placer can skip scoring cores on such a die.
     """
 
     topology: str = "ideal"
@@ -105,8 +110,26 @@ class NocSpec:
             )
         if self.topology == "matrix" and self.cost_matrix is None:
             raise ArchitectureError("topology 'matrix' requires cost_matrix")
-        if self.cycles_per_hop < 0:
-            raise ArchitectureError("cycles_per_hop must be non-negative")
+        if not (math.isfinite(self.cycles_per_hop)
+                and self.cycles_per_hop >= 0):
+            raise ArchitectureError(
+                f"cycles_per_hop must be finite and >= 0, got "
+                f"{self.cycles_per_hop}")
+        if self.cost_matrix is not None and not all(
+                math.isfinite(c) and c >= 0
+                for row in self.cost_matrix for c in row):
+            raise ArchitectureError(
+                "cost_matrix entries must be finite and >= 0")
+
+    @property
+    def is_free(self) -> bool:
+        """True when every pairwise transfer costs exactly 0: the
+        ``ideal`` topology, a generated one at ``cycles_per_hop == 0``,
+        or an all-zero ``cost_matrix``.  Constant time except for the
+        ``matrix`` topology, whose entries are read."""
+        if self.topology == "matrix":
+            return not any(map(any, self.cost_matrix or ()))
+        return self.topology == "ideal" or self.cycles_per_hop == 0
 
     def hop_matrix(self, n: int) -> List[List[float]]:
         """Pairwise transfer cost (cycles per unit payload) for ``n`` units."""

@@ -266,6 +266,22 @@ class Graph:
             value = self._derived[key] = build(self)
             return value
 
+    def inherit_derived(self, parent: "Graph", key: str,
+                        select: Callable[["Graph", Any], Any]) -> None:
+        """Keep ``select(self, value)`` under ``key`` when ``parent``
+        already holds ``value`` there (see :meth:`derived`); otherwise
+        do nothing.
+
+        For a graph built from ``parent``'s own node objects and tensor
+        specs, such as a shard stage
+        (:func:`repro.scale.shard.stage_subgraph`): ``select`` picks
+        this graph's share of the parent's value, which must equal what
+        the key's ``build`` derives from this graph.  This graph's own
+        mutation points drop it like any derived value.
+        """
+        if key in parent._derived:
+            self._derived[key] = select(self, parent._derived[key])
+
     def validate(self) -> None:
         """Check edge consistency: every consumed tensor is produced by a
         node, is a graph input, or is a registered weight/initializer."""

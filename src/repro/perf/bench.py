@@ -136,14 +136,20 @@ def _bench_duplication(quick: bool) -> Tuple[Callable, int]:
 def _bench_placement(quick: bool) -> Tuple[Callable, int]:
     """Greedy NoC placement of every segment of a compiled schedule.
 
-    Repeated a few times so the timed sample is large enough that a
-    single scheduler hiccup on a shared CI runner cannot swing the
-    measured ratio across the regression floor.
+    The compile die with a mesh NoC: on the preset's ideal NoC the
+    placer skips scoring (every core costs 0), so the row would time
+    nothing.  Repeated a few times so the timed sample is large enough
+    that a single scheduler hiccup on a shared CI runner cannot swing
+    the measured ratio across the regression floor.
     """
+    from dataclasses import replace
+
+    from ..arch import mesh
     from ..sched import CIMMLC
     from ..sched.placement import annotate_placement
 
     graph, arch = _compile_inputs(quick)
+    arch = replace(arch, chip=replace(arch.chip, core_noc=mesh()))
     schedule = CIMMLC(arch).schedule(graph)
     repeats = 5 if quick else 10
 

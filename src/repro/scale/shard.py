@@ -23,6 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..perf import CompileCache
 from ..graph import Graph
 from ..sched import CIMMLC, CompilerOptions, no_optimization
+from ..sched.costs import inherit_node_facts
 from ..sched.placement import annotate_placement
 from ..sched.schedule import Schedule
 from ..sim.performance import (
@@ -45,7 +46,10 @@ def stage_subgraph(graph: Graph, names: Sequence[str], index: int) -> Graph:
     rest of the model — or the model output — consumes.  Node objects are
     shared with the parent graph, so schedule annotations (placement,
     duplication) written while compiling the stage remain visible on the
-    original model.
+    original model.  So are tensor specs, so when the parent already
+    holds its profile facts (:func:`~repro.sched.costs.node_facts`;
+    :func:`shard`'s partitioner derived them) the stage takes its
+    nodes' share instead of deriving them again.
     """
     chosen = [graph.node(n) for n in names]
     inside = set(names)
@@ -72,13 +76,15 @@ def stage_subgraph(graph: Graph, names: Sequence[str], index: int) -> Graph:
             if (consumed_outside or out in graph_outputs) \
                     and out not in outputs:
                 outputs.append(out)
-    return Graph(
+    stage = Graph(
         name=f"{graph.name}@stage{index}",
         inputs=inputs,
         outputs=outputs,
         tensors=tensors,
         nodes=chosen,
     )
+    inherit_node_facts(stage, graph)
+    return stage
 
 
 @dataclass(frozen=True)

@@ -149,9 +149,28 @@ def node_facts(graph: Graph) -> Tuple[NodeFacts, ...]:
     """Every node's :class:`NodeFacts` in topological order.
 
     Derived once per graph and kept on it (:meth:`Graph.derived`), so
-    the mutation points that change the graph's signature drop them.
+    the mutation points that change the graph's signature drop them.  A
+    graph cut from another one's nodes can take its share of the
+    other's facts instead (:func:`inherit_node_facts`).
     """
     return graph.derived("node_facts", _derive_facts)
+
+
+def inherit_node_facts(graph: Graph, parent: Graph) -> None:
+    """Give ``graph`` its nodes' facts from ``parent``, in ``graph``'s
+    own topological order, if ``parent`` already holds its facts.
+
+    ``graph`` must share ``parent``'s node objects and tensor specs, as
+    a shard stage does (:func:`repro.scale.shard.stage_subgraph`): each
+    node's facts then equal what :func:`node_facts` would derive from
+    ``graph``, at the cost of a lookup.
+    """
+    def select(stage: Graph, facts: Tuple[NodeFacts, ...]
+               ) -> Tuple[NodeFacts, ...]:
+        by_name = {f.name: f for f in facts}
+        return tuple(by_name[node.name] for node in stage.topological())
+
+    graph.inherit_derived(parent, "node_facts", select)
 
 
 def _derive_facts(graph: Graph) -> Tuple[NodeFacts, ...]:

@@ -245,16 +245,27 @@ def place_greedy(schedule: Schedule, segment: int = 0,
     ``io_anchor``.  Segments that differ only in operator names
     (repeated blocks, the same layers in another model) share one
     placement.
+
+    On a free NoC (:attr:`~repro.arch.noc.NocSpec.is_free`) every
+    candidate scores 0 and ties go to the lowest core id, so each
+    operator takes the lowest free cores whatever its producers and
+    boundary traffic: the edges and boundary bits are neither built nor
+    keyed (``()`` and ``None``), and nothing is scored.
     """
     cores = _resolve_region(schedule, region)
     names = _segment_cim_nodes(schedule, segment)
-    position = {name: i for i, name in enumerate(names)}
     chip = schedule.arch.chip
     needs = tuple(_cores_needed(schedule, name) for name in names)
-    edges = tuple((position[producer], position[consumer], bits)
-                  for producer, consumer, bits in _edges(schedule, segment))
-    io_bits = None if io_anchor is None else \
-        tuple(_io_traffic_bits(schedule, name) for name in names)
+    edges: Tuple[Tuple[int, int, int], ...] = ()
+    io_bits = None
+    if not chip.core_noc.is_free:
+        position = {name: i for i, name in enumerate(names)}
+        edges = tuple((position[producer], position[consumer], bits)
+                      for producer, consumer, bits
+                      in _edges(schedule, segment))
+        if io_anchor is not None:
+            io_bits = tuple(_io_traffic_bits(schedule, name)
+                            for name in names)
     key = (chip.core_noc, chip.core_number, needs, edges, io_bits,
            None if region is None else tuple(region), die_cores, io_anchor)
     cache = perf_cache.PROCESS_CACHE
@@ -280,7 +291,9 @@ def _place_greedy(chip: ChipTier, cores: Sequence[int], needs: Sequence[int],
     like :func:`_hop_matrix` (so mesh grids never change shape),
     candidate scoring applies the anchor-order additions via
     ``np.add.accumulate``, and ``np.lexsort`` breaks ties like a
-    ``(cost, core)`` tuple sort.
+    ``(cost, core)`` tuple sort.  An operator with no anchor (every
+    operator when ``edges`` is empty and ``io_bits`` is ``None``, as on
+    a free NoC) takes the lowest free cores without scoring.
     """
     n = max(chip.core_number, max(cores, default=0) + 1, die_cores or 0)
     if io_anchor is not None:

@@ -56,8 +56,9 @@ _BUFFER = 4096
 
 def _require_positive(what: str, value: float) -> None:
     """Raise :class:`ScheduleError` unless ``value`` is finite and > 0:
-    a zero, negative, NaN or infinite SLO, tenant weight or arrival
-    rate gives no meaningful run."""
+    a zero, negative, NaN or infinite SLO, tenant weight, arrival rate,
+    diurnal period, burst/calm factor or mean dwell gives no meaningful
+    run (a NaN period never ends a diurnal trace)."""
     if not (math.isfinite(value) and value > 0):
         raise ScheduleError(f"{what} must be finite and > 0, got {value}")
 
@@ -233,8 +234,9 @@ def bursty_trace(tenants: Sequence[TenantSpec], rate: float,
     Python.
     """
     _validate(tenants, rate, num_requests)
-    if burst_factor <= 0 or calm_factor <= 0:
-        raise ScheduleError("burst/calm factors must be positive")
+    _require_positive("burst_factor", burst_factor)
+    _require_positive("calm_factor", calm_factor)
+    _require_positive("mean_dwell_requests", mean_dwell_requests)
     stream = _TwinStream(seed)
     clock = 0.0
     bursting = False
@@ -288,6 +290,7 @@ def diurnal_trace(tenants: Sequence[TenantSpec], rate: float,
     floats.
     """
     _validate(tenants, rate, num_requests)
+    _require_positive("period", period)
     if not 0 <= depth < 1:
         raise ScheduleError(f"depth must be in [0, 1), got {depth}")
     stream = _TwinStream(seed)
@@ -343,10 +346,12 @@ def diurnal_bursty_trace(tenants: Sequence[TenantSpec], rate: float,
     Same fixed-buffer scheme as :func:`diurnal_trace`.
     """
     _validate(tenants, rate, num_requests)
+    _require_positive("period", period)
     if not 0 <= depth < 1:
         raise ScheduleError(f"depth must be in [0, 1), got {depth}")
-    if burst_factor <= 0 or calm_factor <= 0:
-        raise ScheduleError("burst/calm factors must be positive")
+    _require_positive("burst_factor", burst_factor)
+    _require_positive("calm_factor", calm_factor)
+    _require_positive("mean_dwell_requests", mean_dwell_requests)
     stream = _TwinStream(seed)
     envelope = 1.0 + depth
     two_pi = 2 * math.pi

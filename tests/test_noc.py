@@ -89,3 +89,33 @@ class TestNocSpec:
     def test_negative_hop_cost_rejected(self):
         with pytest.raises(ArchitectureError):
             NocSpec("mesh", cycles_per_hop=-1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_hop_cost_rejected(self, value):
+        # Unchecked, a NaN hop cost compiles to a NaN total_cycles, and
+        # an infinite one ends in a misleading CapacityError.
+        with pytest.raises(ArchitectureError, match="cycles_per_hop"):
+            mesh(value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_bad_matrix_entries_rejected(self, value):
+        with pytest.raises(ArchitectureError, match="cost_matrix"):
+            matrix_noc([[0.0, value], [1.0, 0.0]])
+
+
+class TestFree:
+    """``is_free``: every pairwise transfer costs exactly 0."""
+
+    @pytest.mark.parametrize("spec", [
+        NocSpec("ideal"), NocSpec("ideal", cycles_per_hop=3.0), mesh(0.0),
+        htree(0.0), shared_bus(0.0), matrix_noc([[0, 0], [0, 0]])])
+    def test_zero_cost_nocs_are_free(self, spec):
+        assert spec.is_free
+        assert spec.max_cost(2) == 0.0
+
+    @pytest.mark.parametrize("spec", [
+        mesh(), mesh(0.5), htree(), shared_bus(),
+        matrix_noc([[0, 0.5], [0, 0]])])
+    def test_costly_nocs_are_not_free(self, spec):
+        assert not spec.is_free
+        assert spec.max_cost(2) > 0.0

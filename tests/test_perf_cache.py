@@ -879,15 +879,14 @@ class TestNameFreeKeys:
                 assert place_greedy(schedule, seg, **kwargs) == \
                     reference.place_greedy(schedule, seg, **kwargs)
 
-    def test_placement_key_covers_wiring_boundary_and_region(
-            self, monkeypatch):
-        # Three graphs whose one segment has equal per-operator core
-        # counts, placed through one memo: a chain, a fan-out (other
-        # edges) and a chain whose wide middle output is also a graph
-        # output (other boundary bits).  A leading ReLU keeps the first
-        # CIM operator off the I/O anchor.
-        monkeypatch.setattr(perf_cache, "PROCESS_CACHE", CompileCache())
-
+    @staticmethod
+    def _wiring_cases(arch):
+        """Three graphs whose one segment has equal per-operator core
+        counts: a chain, a fan-out (other edges) and a chain whose wide
+        middle output is also a graph output (other boundary bits), each
+        scheduled on ``arch``; and four placement variants (anchor,
+        regions).  A leading ReLU keeps the first CIM operator off the
+        I/O anchor."""
         def three_gemms(fan_out=False, tap=False):
             b = GraphBuilder("three-gemms")
             x = b.relu(b.input("x", (1, 16)))
@@ -896,13 +895,19 @@ class TestNameFreeKeys:
             d = b.gemm(a if fan_out else c, 32, name="d")
             return b.build(outputs=[c, d] if fan_out or tap else [d])
 
-        arch = get_preset("puma")
         n = arch.chip.core_number
         schedules = [CIMMLC(arch).schedule(three_gemms(**kw))
                      for kw in ({}, dict(fan_out=True), dict(tap=True))]
         variants = ({}, dict(io_anchor=n - 1),
                     dict(region=range(n), die_cores=2 * n),
                     dict(region=range(n, 2 * n), die_cores=2 * n))
+        return schedules, variants
+
+    def test_placement_key_covers_wiring_boundary_and_region(
+            self, monkeypatch):
+        # The three graphs placed through one memo.
+        monkeypatch.setattr(perf_cache, "PROCESS_CACHE", CompileCache())
+        schedules, variants = self._wiring_cases(get_preset("puma"))
         placed = {}
         for i, schedule in enumerate(schedules):
             for j, kwargs in enumerate(variants):
@@ -912,6 +917,27 @@ class TestNameFreeKeys:
         assert placed[0, 0] != placed[1, 0]     # the edges matter
         assert placed[0, 1] != placed[2, 1]     # the boundary bits
         assert placed[0, 2] != placed[0, 3]     # the region
+
+    def test_a_free_noc_keys_no_wiring(self, monkeypatch):
+        # On a free NoC every core scores 0: the three graphs place
+        # alike per variant, so neither their edges nor their boundary
+        # bits enter the key, and one body serves all three.
+        monkeypatch.setattr(perf_cache, "PROCESS_CACHE", CompileCache())
+        bodies = []
+        body = placement._place_greedy
+        monkeypatch.setattr(placement, "_place_greedy",
+                            lambda *args: bodies.append(1) or body(*args))
+        puma = get_preset("puma")
+        arch = dataclasses.replace(puma, chip=dataclasses.replace(
+            puma.chip, core_noc=noc.IDEAL_NOC))
+        schedules, variants = self._wiring_cases(arch)
+        for kwargs in variants:
+            del bodies[:]
+            placed = [place_greedy(s, **kwargs) for s in schedules]
+            assert placed == [reference.place_greedy(s, **kwargs)
+                              for s in schedules]
+            assert placed[0] == placed[1] == placed[2]
+            assert len(bodies) == 1, kwargs
 
 
 class TestSweepRunnerFastPath:

@@ -1,11 +1,14 @@
 """NoC-aware placement: correctness and quality vs the oblivious baseline."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.arch import isaac_baseline, mesh
+from repro.arch import get_preset, isaac_baseline, mesh
 from repro.errors import ScheduleError
-from repro.models import resnet18, tiny_conv
-from repro.sched import CIMMLC, CompilerOptions
+from repro.models import MODEL_ZOO, get_model, resnet18, tiny_conv
+from repro.perf import reference
+from repro.sched import CIMMLC, CompilerOptions, placement
 from repro.sched.placement import (
     annotate_placement,
     place_greedy,
@@ -15,12 +18,11 @@ from repro.sched.placement import (
 )
 
 
-def mesh_arch(cores=64):
+def mesh_arch(cores=64, cycles_per_hop=1.0):
     """Baseline with a real mesh NoC so hops actually cost something."""
-    from dataclasses import replace
-
     arch = isaac_baseline().with_cores(cores)
-    return replace(arch, chip=replace(arch.chip, core_noc=mesh()))
+    return replace(arch, chip=replace(arch.chip,
+                                       core_noc=mesh(cycles_per_hop)))
 
 
 @pytest.fixture(scope="module")
@@ -147,3 +149,74 @@ class TestQuality:
         edges = _edges(schedule, 0)
         pairs = {(a, b) for a, b, _ in edges}
         assert ("conv1", "layer1_0_conv1") in pairs
+
+
+#: The presets whose chip NoC is free (the paper's unconstrained ``\``).
+FREE_PRESETS = ("isaac-baseline", "isaac-flash", "jain2021")
+
+
+def _segments_match_the_oracle(schedule, **kwargs):
+    """Production placement equals the scalar oracle, which scores every
+    core even on a free NoC, on every segment."""
+    for seg in range(len(schedule.segments)):
+        assert place_greedy(schedule, seg, **kwargs) == \
+            reference.place_greedy(schedule, seg, **kwargs), (seg, kwargs)
+
+
+class TestFreeNoc:
+    """On a free NoC every core scores 0, so each operator takes the
+    lowest free cores and nothing is scored or wired."""
+
+    @pytest.mark.parametrize("preset", FREE_PRESETS)
+    @pytest.mark.parametrize("model", ["lenet", "mobilenet", "resnet18",
+                                       "resnet50", "vit-tiny"])
+    def test_free_presets_place_like_the_oracle(self, preset, model):
+        arch = get_preset(preset)
+        assert arch.chip.core_noc.is_free
+        schedule = CIMMLC(arch).schedule(get_model(model))
+        for io_anchor in (None, 0):
+            _segments_match_the_oracle(schedule, io_anchor=io_anchor)
+
+    def test_surviving_cores_of_a_larger_die(self):
+        # The degraded shard path: a schedule compiled for the surviving
+        # cores of a 768-core die, placed on them, link port anchored.
+        die = isaac_baseline().chip.core_number
+        region = [c for c in range(die) if c % 7]
+        schedule = CIMMLC(isaac_baseline().with_cores(len(region))) \
+            .schedule(resnet18())
+        _segments_match_the_oracle(schedule, region=region, die_cores=die,
+                                   io_anchor=0)
+
+    def test_zero_cost_mesh_is_free_and_places_like_the_oracle(self):
+        arch = mesh_arch(cycles_per_hop=0.0)
+        assert arch.chip.core_noc.is_free
+        schedule = CIMMLC(arch).schedule(resnet18())
+        for io_anchor in (None, 0):
+            _segments_match_the_oracle(schedule, io_anchor=io_anchor)
+        # Free placement is core order.
+        assert place_greedy(schedule) == place_linear(schedule)
+
+    @pytest.mark.parametrize("preset,walked", [("isaac-baseline", False),
+                                               ("puma", True)])
+    def test_edges_built_only_where_transfers_cost(self, monkeypatch,
+                                                   preset, walked):
+        calls = []
+        edges = placement._edges
+        monkeypatch.setattr(placement, "_edges",
+                            lambda *args: calls.append(args) or edges(*args))
+        schedule = CIMMLC(get_preset(preset)).schedule(resnet18())
+        for seg in range(len(schedule.segments)):
+            place_greedy(schedule, seg, io_anchor=0)
+        assert bool(calls) is walked
+
+    def test_a_costly_noc_places_off_core_order(self):
+        # So a free predicate that is always true cannot pass: on puma's
+        # mesh some zoo segment's greedy placement is not core order.
+        arch = get_preset("puma")
+        assert not arch.chip.core_noc.is_free
+        for model in sorted(MODEL_ZOO):
+            schedule = CIMMLC(arch).schedule(MODEL_ZOO[model]())
+            if any(place_greedy(schedule, seg) != place_linear(schedule, seg)
+                   for seg in range(len(schedule.segments))):
+                return
+        pytest.fail("every puma placement is in core order")

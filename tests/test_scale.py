@@ -1,5 +1,7 @@
 """Multi-chip sharding: link model, partitioner, pipeline, integrations."""
 
+import pickle
+
 import pytest
 
 from repro import CIMMLC
@@ -11,6 +13,8 @@ from repro.arch import (
 )
 from repro.errors import ArchitectureError, CapacityError
 from repro.explore import SweepRunner, SweepSpace
+from repro.faults import FaultModel
+from repro.graph import TensorSpec
 from repro.models import MODEL_ZOO, get_model, resnet18
 from repro.scale import partition as partition_mod
 from repro.scale import (
@@ -24,6 +28,8 @@ from repro.scale import (
     stage_subgraph,
     stage_transfers,
 )
+from repro.sched import costs
+from repro.sched.costs import CostModel
 from repro.serve import TenantSpec, plan_sharded, poisson_trace, simulate
 
 #: A capacity-constrained chip where sharding genuinely helps: resnet18
@@ -182,6 +188,88 @@ class TestStageSubgraph:
         exported = set(sub0.outputs) | set(graph.inputs)
         assert set(sub1.inputs) <= exported
         assert set(sub1.outputs) >= set(graph.outputs)
+
+
+class TestStageFacts:
+    """A stage shares its model's node objects and tensor specs, so it
+    takes its share of the model's profile facts, which the partitioner
+    derived, instead of deriving them again."""
+
+    #: The models and chip counts of hostbench ``shard_pipeline``.
+    HOSTBENCH = (("resnet18", "mobilenet", "resnet50", "vit-tiny"), (2, 4))
+
+    @pytest.fixture(scope="class")
+    def sharded(self):
+        """``(label, plan, fact derivations its shard made)`` for every
+        zoo model that shards onto 2-4 isaac-baseline chips, and for one
+        degraded run (its stages rebalanced over ``chip_archs``)."""
+        runs = [((m, c), lambda m=m, c=c: shard(
+                    get_model(m), MultiChipSystem(isaac_baseline(), c)))
+                for m in sorted(MODEL_ZOO) for c in (2, 3, 4)]
+        dead = FaultModel(dead_cores=tuple(range(0, 768, 7)))
+        runs.append((("resnet50", "degraded"), lambda: shard(
+            get_model("resnet50"), MultiChipSystem(isaac_baseline(), 3),
+            faults={1: dead})))
+        builds = []
+        derive = costs._derive_facts
+        out = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(costs, "_derive_facts",
+                          lambda graph: builds.append(graph) or derive(graph))
+            for label, run in runs:
+                del builds[:]
+                try:
+                    plan = run()
+                except CapacityError:
+                    continue
+                out.append((label, plan, list(builds)))
+        return out
+
+    def test_stage_facts_equal_a_fresh_derivation(self, sharded):
+        assert len(sharded) == 13 * 3 + 1
+        for label, plan, builds in sharded:
+            # Only the model derived its facts.
+            assert builds == [plan.graph], label
+            for schedule in plan.schedules:
+                stage = schedule.graph
+                assert stage.name.startswith(plan.graph.name + "@stage")
+                assert costs.node_facts(stage) == \
+                    costs._derive_facts(stage), label
+
+    def test_hostbench_shards_derive_once_per_model(self, sharded):
+        models, chips = self.HOSTBENCH
+        made = {label: len(builds) for label, _, builds in sharded}
+        assert sum(made[m, c] for m in models for c in chips) == 8
+
+    def test_a_mutated_stage_derives_afresh(self, monkeypatch):
+        plan = shard(resnet18(), MultiChipSystem(isaac_baseline(), 2))
+        stage = plan.schedules[1].graph
+        held = costs.node_facts(stage)
+        builds = []
+        derive = costs._derive_facts
+        monkeypatch.setattr(costs, "_derive_facts",
+                            lambda graph: builds.append(graph)
+                            or derive(graph))
+        # One weight tensor drops to 4 bits.
+        name = next(t.name for t in stage.tensors.values() if t.is_weight)
+        w = stage.tensors.pop(name)
+        stage.add_tensor(TensorSpec(w.name, w.shape, 4, is_weight=True))
+        fresh = costs.node_facts(stage)
+        assert builds == [stage]
+        assert fresh != held
+        assert fresh == derive(stage)
+
+    def test_a_pickled_stage_keeps_its_profiles(self):
+        plan = shard(resnet18(), MultiChipSystem(isaac_baseline(), 2))
+        cost_model = CostModel(isaac_baseline())
+        for schedule in plan.schedules:
+            stage = schedule.graph
+            copy = pickle.loads(pickle.dumps(stage))
+            assert costs.node_facts(copy) == costs.node_facts(stage)
+            named = [[(key, p.name, p) for key, p in
+                      cost_model.profiles(graph).items()]
+                     for graph in (stage, copy)]
+            assert named[0] == named[1]
 
 
 # ---------------------------------------------------------------------------

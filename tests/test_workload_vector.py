@@ -164,6 +164,27 @@ class TestDiurnalBursty:
         assert bits(via) == bits(direct)
 
 
+class TestShapeKnobs:
+    """Every trace-shape knob is finite and > 0, checked before any
+    draw, so even an empty trace is refused."""
+
+    @pytest.mark.parametrize("gen,knob", [
+        (bursty_trace, "burst_factor"), (bursty_trace, "calm_factor"),
+        (bursty_trace, "mean_dwell_requests"), (diurnal_trace, "period"),
+        (diurnal_bursty_trace, "period"),
+        (diurnal_bursty_trace, "burst_factor"),
+        (diurnal_bursty_trace, "calm_factor"),
+        (diurnal_bursty_trace, "mean_dwell_requests")])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"),
+                                       float("inf")])
+    def test_shape_knobs_must_be_finite_and_positive(self, gen, knob,
+                                                     value):
+        # Unchecked, a NaN period never ends a diurnal trace, and a zero
+        # period or a zero, infinite or NaN dwell fails in arithmetic.
+        with pytest.raises(ScheduleError, match=knob):
+            gen(TENANTS, 1e-4, 0, **{knob: value})
+
+
 class TestGenerationMemory:
     """Generation holds a few stream buffers on top of the trace it
     returns, whatever the trace's length."""
