@@ -1,12 +1,15 @@
 #!/usr/bin/env python
 """Nightly check: a million-request fleet run stays under a memory
-ceiling.
+ceiling and reproduces its pinned report digest.
 
 Runs ``python -m repro fleet --requests 1000000 --replicas 8`` (the
 CLI-default diurnal-bursty trace on isaac-flash) in a child process and
 prints its wall time, its peak resident set size (the child's
 ``ru_maxrss``) and its report digest.  Exits non-zero when the run
-fails or its peak exceeds :data:`CEILING_MIB`.
+fails, its peak exceeds :data:`CEILING_MIB`, or its digest differs from
+:data:`DIGEST`.  The digest covers the trace generator and the event
+loop at a scale no tier-1 test reaches: a thinning step or an event
+order that changes one arrival or one latency changes it.
 
 The trace generators walk their random stream in fixed buffers and the
 engines keep one latency float per completed request, so the peak is
@@ -28,6 +31,9 @@ import time
 
 #: Peak resident set size the run may reach, in MiB.
 CEILING_MIB = 350.0
+
+#: The run's report digest as the CLI prints it (first 16 hex digits).
+DIGEST = "7a1ace871a8d90fb"
 
 ARGV = ["-m", "repro", "fleet", "--requests", "1000000", "--replicas", "8"]
 
@@ -58,6 +64,10 @@ def main() -> int:
     if peak_mib > CEILING_MIB:
         print(f"FAIL: peak RSS {peak_mib:.0f} MiB exceeds the "
               f"{CEILING_MIB:.0f} MiB ceiling", file=sys.stderr)
+        return 1
+    if digest != DIGEST:
+        print(f"FAIL: report digest {digest}, expected {DIGEST}",
+              file=sys.stderr)
         return 1
     print("OK")
     return 0

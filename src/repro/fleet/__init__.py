@@ -9,8 +9,8 @@ replicas behind a front end:
 * :mod:`~repro.fleet.plan` — :class:`FleetPlan`: N replica plans (each
   an ordinary serve plan, possibly heterogeneous) plus the
   :class:`~repro.arch.ChipLink`-priced front-end hop;
-  :func:`build_fleet` compiles a homogeneous fleet through one shared
-  :class:`~repro.perf.CompileCache` (each unique model compiles once).
+  :func:`build_fleet` plans a homogeneous fleet once and repeats that
+  plan object for every replica (each unique model compiles once).
 * :mod:`~repro.fleet.router` — pluggable routing policies: round-robin,
   least-loaded, session-affinity, power-aware first-fit packing.
 * :mod:`~repro.fleet.admission` — queue-depth / SLO-budget rejection

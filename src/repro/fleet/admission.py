@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ScheduleError
 from ..serve.engine import ReplicaCore
-from ..serve.workload import Request
+from ..serve.workload import Request, _require_positive
 
 #: Rejection reasons, in check order.
 REASONS = ("no_capacity", "queue", "slo", "fairness")
@@ -57,9 +57,8 @@ class AdmissionControl:
         if self.max_outstanding is not None and self.max_outstanding < 1:
             raise ScheduleError(
                 f"max_outstanding must be >= 1, got {self.max_outstanding}")
-        if self.slo_budget is not None and self.slo_budget <= 0:
-            raise ScheduleError(
-                f"slo_budget must be positive, got {self.slo_budget}")
+        if self.slo_budget is not None:
+            _require_positive("slo_budget", self.slo_budget)
         if self.fairness and self.max_outstanding is None:
             raise ScheduleError(
                 "fairness clipping needs max_outstanding to define the "
@@ -95,10 +94,12 @@ class AdmissionControl:
         """
         if not capable:
             return [], "no_capacity"
-        candidates = list(capable)
-        if self.max_outstanding is not None:
-            candidates = [rid for rid in candidates
-                          if cores[rid].outstanding < self.max_outstanding]
+        cap = self.max_outstanding
+        if cap is None:
+            candidates = list(capable)
+        else:
+            candidates = [rid for rid in capable
+                          if cores[rid].outstanding < cap]
             if not candidates:
                 return [], "queue"
         if self.slo_budget is not None:

@@ -27,10 +27,12 @@ expects.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import ScheduleError
+from ..serve.workload import _require_positive
 
 #: Autoscaler decisions (the ``action`` field of scale events).
 ACTIONS = ("up", "down")
@@ -54,10 +56,17 @@ class Autoscaler:
     hold_ticks: int = 3
 
     def __post_init__(self) -> None:
-        """Validate thresholds, floors, and the hysteresis window."""
-        if self.tick_cycles <= 0:
-            raise ScheduleError(
-                f"tick_cycles must be positive, got {self.tick_cycles}")
+        """Validate thresholds, floors, and the hysteresis window.
+
+        A NaN or infinite tick or threshold would never fire a scale
+        event, so it is refused rather than run as a silently static
+        fleet.
+        """
+        _require_positive("tick_cycles", self.tick_cycles)
+        for name in ("up_threshold", "down_threshold"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ScheduleError(f"{name} must be finite, got {value}")
         if self.min_replicas < 1:
             raise ScheduleError(
                 f"min_replicas must be >= 1, got {self.min_replicas}")

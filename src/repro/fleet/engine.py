@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ScheduleError
@@ -181,11 +182,12 @@ class FleetEngine:
         front_rejected: Dict[str, int] = {name: 0 for name in slo_cycles}
         reasons: Dict[str, int] = {}
         tenant_outstanding: Dict[str, int] = {n: 0 for n in slo_cycles}
-        # Per-request backlog estimate: the tenant's steady-state
-        # interval on the replica (every replica serves every tenant).
-        est: Dict[Tuple[int, str], float] = {
-            (rid, name): core.interval(name)
-            for rid, core in enumerate(cores) for name in slo_cycles}
+        # Per-request backlog estimate, ``est[rid][tenant]``: the
+        # tenant's steady-state interval on the replica (every replica
+        # serves every tenant).
+        est: List[Dict[str, float]] = [
+            {name: core.interval(name) for name in slo_cycles}
+            for core in cores]
         scale_events: List[Tuple[float, str, int]] = []
 
         # Every replica serves every tenant (FleetPlan's invariant), so
@@ -206,7 +208,7 @@ class FleetEngine:
         loop = EventLoop(trace, _ROUTE)
         # Ticks and drift rounds run until the latest arrival; the trace
         # need not be sorted.
-        last_arrival = max((req.arrival for req in trace), default=0.0)
+        last_arrival = max(map(attrgetter("arrival"), trace), default=0.0)
         if autoscaler is not None and trace:
             k = 1
             while k * autoscaler.tick_cycles <= last_arrival:
@@ -232,8 +234,8 @@ class FleetEngine:
 
         screen = self.admission.screen
         route = router.route
-        while loop:
-            now, kind, payload = loop.pop()
+        push = loop.push
+        for now, kind, payload in loop:
             if now > horizon:
                 horizon = now
             if kind == _ROUTE:
@@ -249,12 +251,15 @@ class FleetEngine:
                     continue
                 rid = route(req, now, cores, candidates)
                 core = cores[rid]
-                core.note_pending(req.tenant)
+                # ``core.note_pending`` minus its tenant check, which
+                # every trace request passed before the run.
+                tenant = req.tenant
+                core.pending[tenant] += 1
                 core.outstanding += 1
-                core.backlog_cycles += est[rid, req.tenant]
-                tenant_outstanding[req.tenant] += 1
+                core.backlog_cycles += est[rid][tenant]
+                tenant_outstanding[tenant] += 1
                 link_energy += req_energy
-                loop.push(now + hop_in, _ARRIVAL, (rid, req))
+                push(now + hop_in, _ARRIVAL, (rid, req))
             elif kind == _ARRIVAL:
                 rid, req = payload
                 core = cores[rid]
@@ -264,16 +269,16 @@ class FleetEngine:
                     # (the request re-pays the inbound hop).
                     core.pending[req.tenant] -= 1
                     core.outstanding -= 1
-                    core.backlog_cycles -= est[rid, req.tenant]
+                    core.backlog_cycles -= est[rid][req.tenant]
                     tenant_outstanding[req.tenant] -= 1
                     rerouted += 1
-                    loop.push(now, _ROUTE, req)
+                    push(now, _ROUTE, req)
                 elif not core.on_arrival(req, now, loop):
                     # Bounced off the replica-local queue bound after
                     # admission let it through (the front end's load
                     # signals are estimates, not reservations).
                     core.outstanding -= 1
-                    core.backlog_cycles -= est[rid, req.tenant]
+                    core.backlog_cycles -= est[rid][req.tenant]
                     tenant_outstanding[req.tenant] -= 1
                     reasons["replica_queue"] = \
                         reasons.get("replica_queue", 0) + 1
@@ -298,20 +303,21 @@ class FleetEngine:
                     # arrived and were never answered).
                     for req in batch:
                         core.outstanding -= 1
-                        core.backlog_cycles -= est[rid, req.tenant]
+                        core.backlog_cycles -= est[rid][req.tenant]
                         tenant_outstanding[req.tenant] -= 1
                         front_rejected[req.tenant] += 1
                         lost += 1
                     reasons["chip_death"] = \
                         reasons.get("chip_death", 0) + len(batch)
                     continue
-                core.on_complete(ex_name, batch, now, loop,
-                                 latency_at=now + hop_out)
-                if now + hop_out > horizon:
-                    horizon = now + hop_out
+                answered = now + hop_out
+                core.on_complete(ex_name, batch, now, loop, answered)
+                if answered > horizon:
+                    horizon = answered
+                core.outstanding -= len(batch)
+                intervals = est[rid]
                 for req in batch:
-                    core.outstanding -= 1
-                    core.backlog_cycles -= est[rid, req.tenant]
+                    core.backlog_cycles -= intervals[req.tenant]
                     tenant_outstanding[req.tenant] -= 1
                     link_energy += resp_energy
                     if recorder is not None:
@@ -382,10 +388,10 @@ class FleetEngine:
                                 rid=rid, executor=ex.name, tenant=tenant,
                                 deadline=now, cycles=cycles,
                                 energy=energy, round=round_no)
-                        loop.push(ex.busy_until, _READY, (rid, ex.name))
+                        push(ex.busy_until, _READY, (rid, ex.name))
                 nxt = (round_no + 1) * fault.drift_interval
                 if nxt <= last_arrival:
-                    loop.push(nxt, _DRIFT, round_no + 1)
+                    push(nxt, _DRIFT, round_no + 1)
             else:  # _FAIL
                 rid = payload
                 was_active = rid in active
@@ -403,12 +409,12 @@ class FleetEngine:
                     for tenant, q in core.queues.items():
                         for req in q:
                             core.outstanding -= 1
-                            core.backlog_cycles -= est[rid, tenant]
+                            core.backlog_cycles -= est[rid][tenant]
                             tenant_outstanding[tenant] -= 1
                             rerouted += 1
                             rerouted_hops.append(
                                 (req.index, tenant, req.arrival))
-                            loop.push(now, _ROUTE, req)
+                            push(now, _ROUTE, req)
                         q.clear()
                     spares = [r for r in range(plan.size)
                               if r not in active and r not in dead]

@@ -8,18 +8,18 @@ heterogeneous fleets mix them), the :class:`~repro.arch.ChipLink` pricing
 the front-end↔replica hop, and the request/response payload sizes that
 hop carries.
 
-:func:`build_fleet` is the compile-side helper: it plans ``replicas``
-identical systems through **one shared**
-:class:`~repro.perf.CompileCache`, so an N-replica homogeneous fleet
-compiles each unique model exactly once — replica 2..N hit the cache for
-every profile, duplication search, and segment simulation (the cache's
-hit counters make this assertable in tests).
+:func:`build_fleet` is the compile-side helper: it plans one system
+and repeats that plan object ``replicas`` times, so an N-replica
+homogeneous fleet compiles, schedules and prices each unique model
+exactly once however wide it is (the cache's counters make this
+assertable in tests).  Sharing is safe: plans are frozen, and the
+engine builds each replica's mutable state (queues, executors) afresh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..arch import ChipLink, CIMArchitecture
 from ..errors import ScheduleError
@@ -127,23 +127,18 @@ def build_fleet(arch: CIMArchitecture, specs: Sequence[TenantSpec],
                 request_bits: float = REQUEST_BITS,
                 response_bits: float = RESPONSE_BITS,
                 **plan_kwargs) -> FleetPlan:
-    """Plan a homogeneous ``replicas``-wide fleet, compiling each unique
-    model exactly once.
-
-    All replica plans run through one shared
-    :class:`~repro.perf.CompileCache` (supplied or created here): replica
-    0 pays the compiles, replicas 1..N-1 are pure cache hits.
+    """Plan a homogeneous ``replicas``-wide fleet: one plan, compiled
+    through ``cache`` (supplied or created here), repeated ``replicas``
+    times, so every replica is the same
+    :class:`~repro.serve.partition.ServingPlan` object.
     ``plan_kwargs`` reach :func:`~repro.serve.partition.make_plan`
     (e.g. ``power_budget=``, ``chips=`` for sharded mode).
     """
     if replicas < 1:
         raise ScheduleError(f"fleet size must be >= 1, got {replicas}")
-    cache = cache or CompileCache()
-    plans: List[ServingPlan] = [
-        make_plan(mode, arch, specs, options, cache=cache, **plan_kwargs)
-        for _ in range(replicas)
-    ]
-    return FleetPlan(replicas=tuple(plans),
+    plan = make_plan(mode, arch, specs, options,
+                     cache=cache or CompileCache(), **plan_kwargs)
+    return FleetPlan(replicas=(plan,) * replicas,
                      link=link if link is not None else ChipLink(),
                      request_bits=request_bits,
                      response_bits=response_bits)

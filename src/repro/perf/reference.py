@@ -687,7 +687,7 @@ class PushEverythingLoop:
     arrival, in trace order, before any other event, so arrivals hold
     the lowest sequence numbers.  Production's
     :class:`~repro.serve.engine.EventLoop` merges the arrival-sorted
-    trace with a heap of in-flight events instead and must pop exactly
+    trace with a heap of in-flight events instead and must yield exactly
     this sequence.
     """
 
@@ -705,16 +705,12 @@ class PushEverythingLoop:
         heapq.heappush(self._heap, (time, self._seq, kind, payload))
         self._seq += 1
 
-    def pop(self) -> Tuple[float, int, object]:
-        """The earliest ``(time, kind, payload)`` event."""
-        time, _, kind, payload = heapq.heappop(self._heap)
-        return time, kind, payload
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
+    def __iter__(self) -> Iterator[Tuple[float, int, object]]:
+        """Pop the earliest ``(time, kind, payload)`` event until the
+        heap is empty, events pushed meanwhile included."""
+        while self._heap:
+            time, _, kind, payload = heapq.heappop(self._heap)
+            yield time, kind, payload
 
 
 @contextmanager

@@ -22,9 +22,10 @@ runs many cores — one per replica — off one shared :class:`EventLoop`.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ScheduleError
 from .partition import ServingPlan, TenantPlan
@@ -42,26 +43,34 @@ class EventLoop:
 
     The single source of simulated time for one scenario.  Every pushed
     event gets the next value of a monotonically increasing sequence
-    number, so two events at the same timestamp pop in push order —
+    number, so two events at the same timestamp leave in push order —
     simulation order is a pure function of the inputs, never of hash
     order or wall clock.
 
     ``arrivals`` (the trace) is stable-sorted by ``arrival`` once and
     merged with the heap instead of being pushed onto it, so the heap
-    holds only in-flight events.  An arrival pops as event ``kind``
-    with the request as its payload, and wins every time tie against
-    the heap — exactly the order of a heap into which every arrival was
-    pushed before any other event.
+    holds only in-flight events.  An arrival is yielded as event
+    ``kind`` with the request as its payload, and wins every time tie
+    against the heap — exactly the order of a heap into which every
+    arrival was pushed before any other event.  Arrival times must be
+    finite: a NaN has no place in the sort, and an infinite arrival
+    gives an infinite horizon and NaN latencies.
     """
 
-    __slots__ = ("_heap", "_seq", "_arrivals", "_next", "_kind")
+    __slots__ = ("_heap", "_seq", "_arrivals", "_kind")
 
     def __init__(self, arrivals: Sequence[Request] = (),
                  kind: int = _ARRIVAL) -> None:
         self._heap: List[Tuple[float, int, int, object]] = []
         self._seq = 0
         self._arrivals = sorted(arrivals, key=attrgetter("arrival"))
-        self._next = 0
+        if not all(map(math.isfinite,
+                       map(attrgetter("arrival"), self._arrivals))):
+            bad = next(req for req in self._arrivals
+                       if not math.isfinite(req.arrival))
+            raise ScheduleError(
+                f"trace arrival times must be finite, got {bad.arrival} "
+                f"(request {bad.index})")
         self._kind = kind
 
     def push(self, time: float, kind: int, payload: object) -> None:
@@ -69,21 +78,28 @@ class EventLoop:
         heapq.heappush(self._heap, (time, self._seq, kind, payload))
         self._seq += 1
 
-    def pop(self) -> Tuple[float, int, object]:
-        """The earliest ``(time, kind, payload)`` event."""
-        if self._next < len(self._arrivals):
-            req = self._arrivals[self._next]
-            if not self._heap or req.arrival <= self._heap[0][0]:
-                self._next += 1
-                return req.arrival, self._kind, req
-        time, _, kind, payload = heapq.heappop(self._heap)
-        return time, kind, payload
+    def __iter__(self) -> Iterator[Tuple[float, int, object]]:
+        """Drain the loop: every ``(time, kind, payload)`` event in order.
 
-    def __len__(self) -> int:
-        return len(self._heap) + len(self._arrivals) - self._next
-
-    def __bool__(self) -> bool:
-        return bool(self._heap) or self._next < len(self._arrivals)
+        The one way events leave the loop.  An event the caller pushes
+        while it handles another is yielded later in the same pass, and
+        the pass ends once the trace and the heap are both empty.  Each
+        arrival is yielded once: a later pass yields only events pushed
+        since.
+        """
+        heap = self._heap
+        heappop = heapq.heappop
+        kind = self._kind
+        arrivals, self._arrivals = self._arrivals, []
+        for req in arrivals:
+            at = req.arrival
+            while heap and heap[0][0] < at:
+                time, _, event, payload = heappop(heap)
+                yield time, event, payload
+            yield at, kind, req
+        while heap:
+            time, _, event, payload = heappop(heap)
+            yield time, event, payload
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +228,8 @@ class ReplicaCore:
     Owns per-tenant FIFO queues, the executors of one
     :class:`~repro.serve.partition.ServingPlan`, and every tally a
     :class:`~repro.serve.report.ServeReport` is built from.  It is
-    driven externally: the caller owns the :class:`EventLoop`, pops
-    events, and calls back into :meth:`on_arrival` / :meth:`on_timer` /
+    driven externally: the caller owns the :class:`EventLoop`, iterates
+    its events, and calls back into :meth:`on_arrival` / :meth:`on_timer` /
     :meth:`on_complete`.  Event payloads are tagged with ``rid`` (the
     replica id) so many cores can share one loop — the fleet engine
     (:mod:`repro.fleet.engine`) runs one core per replica; the
@@ -312,51 +328,55 @@ class ReplicaCore:
             return
         # Ready tenants on this executor, FIFO across queues: serve
         # the earliest-waiting head; ties fall back to tenant order.
+        queues = self.queues
+        policy = self.policy
         best: Optional[TenantPlan] = None
+        best_head = 0.0
         for t in ex.tenants:
-            q = self.queues[t.spec.name]
+            name = t.spec.name
+            q = queues[name]
             if not q:
                 continue
-            wait = now - q[0].arrival
-            if self.policy.ready(len(q), wait,
-                                 self.pending[t.spec.name] > 0):
-                if best is None or q[0].arrival < \
-                        self.queues[best.spec.name][0].arrival:
-                    best = t
+            head = q[0].arrival
+            if policy.ready(len(q), now - head, self.pending[name] > 0):
+                if best is None or head < best_head:
+                    best, best_head = t, head
             else:
-                deadline = self.policy.deadline(q[0].arrival)
+                deadline = policy.deadline(head)
                 if deadline is not None and deadline > now:
-                    timer = (t.spec.name, deadline)
+                    timer = (name, deadline)
                     if timer not in self._timers:
                         self._timers.add(timer)
-                        loop.push(deadline, _TIMER, (self.rid, t.spec.name))
+                        loop.push(deadline, _TIMER, (self.rid, name))
         if best is None:
             return
-        q = self.queues[best.spec.name]
-        batch = q[:self.policy.max_size]
+        name = best.spec.name
+        profile = best.service
+        q = queues[name]
+        batch = q[:policy.max_size]
         del q[:len(batch)]
+        size = len(batch)
         switch = 0.0
         switch_energy = 0.0
-        if ex.resident != best.spec.name:
-            switch = best.service.switch_cycles
-            switch_energy = best.service.switch_energy
+        if ex.resident != name:
+            switch = profile.switch_cycles
+            switch_energy = profile.switch_energy
             if ex.resident is not None or switch > 0:
                 ex.switches += 1
-            ex.resident = best.spec.name
-        service = best.service.batch_cycles(len(batch))
+            ex.resident = name
+        service = profile.batch_cycles(size)
         done = now + switch + service
         ex.busy_until = done
         ex.busy_cycles += switch + service
         ex.switch_cycles += switch
-        energy = switch_energy + best.service.batch_energy(len(batch))
+        energy = switch_energy + profile.batch_energy(size)
         ex.energy += energy
-        self.tenant_energy[best.spec.name] += energy
-        self.batch_sizes[best.spec.name].append(len(batch))
+        self.tenant_energy[name] += energy
+        self.batch_sizes[name].append(size)
         if done > self.horizon:
             self.horizon = done
         if self.recorder is not None:
-            self._record_batch(ex, best.spec.name, batch, now, switch,
-                               service)
+            self._record_batch(ex, name, batch, now, switch, service)
         loop.push(done, _COMPLETE, (self.rid, ex.name, tuple(batch)))
 
     def _record_batch(self, ex: _Executor, tenant: str,
@@ -392,15 +412,16 @@ class ReplicaCore:
         """One request lands: enqueue (or bounce off ``max_queue``) and
         attempt a dispatch.  Returns ``False`` when the queue bound
         rejected the request."""
-        self.pending[req.tenant] -= 1
-        q = self.queues[req.tenant]
+        tenant = req.tenant
+        self.pending[tenant] -= 1
+        q = self.queues[tenant]
         admitted = True
         if self.max_queue is not None and len(q) >= self.max_queue:
-            self.rejected[req.tenant] += 1
+            self.rejected[tenant] += 1
             admitted = False
         else:
             q.append(req)
-        self.try_dispatch(self._by_tenant[req.tenant], now, loop)
+        self.try_dispatch(self._by_tenant[tenant], now, loop)
         return admitted
 
     def on_timer(self, tenant: str, now: float, loop: EventLoop) -> None:
@@ -428,8 +449,9 @@ class ReplicaCore:
         while the executor frees up at ``now``.
         """
         measured = now if latency_at is None else latency_at
+        latencies = self.latencies
         for req in batch:
-            self.latencies[req.tenant].append(measured - req.arrival)
+            latencies[req.tenant].append(measured - req.arrival)
         self.try_dispatch(self._by_name[ex_name], now, loop)
 
     def drained(self) -> bool:
@@ -482,18 +504,20 @@ class ServingEngine:
         for req in trace:
             core.note_pending(req.tenant)
         loop = EventLoop(trace, _ARRIVAL)
+        on_arrival = core.on_arrival
+        on_timer = core.on_timer
+        on_complete = core.on_complete
 
-        while loop:
-            now, kind, payload = loop.pop()
+        for now, kind, payload in loop:
             if now > core.horizon:
                 core.horizon = now
             if kind == _ARRIVAL:
-                core.on_arrival(payload, now, loop)
+                on_arrival(payload, now, loop)
             elif kind == _TIMER:
-                core.on_timer(payload[1], now, loop)
+                on_timer(payload[1], now, loop)
             else:  # _COMPLETE
                 _, ex_name, batch = payload
-                core.on_complete(ex_name, batch, now, loop)
+                on_complete(ex_name, batch, now, loop)
 
         core.assert_drained()
         trace_digest = None

@@ -57,8 +57,9 @@ _BUFFER = 4096
 def _require_positive(what: str, value: float) -> None:
     """Raise :class:`ScheduleError` unless ``value`` is finite and > 0:
     a zero, negative, NaN or infinite SLO, tenant weight, arrival rate,
-    diurnal period, burst/calm factor or mean dwell gives no meaningful
-    run (a NaN period never ends a diurnal trace)."""
+    diurnal period, burst/calm factor, mean dwell, autoscaler tick or
+    admission SLO budget gives no meaningful run (a NaN period never
+    ends a diurnal trace, and a NaN tick never scales)."""
     if not (math.isfinite(value) and value > 0):
         raise ScheduleError(f"{what} must be finite and > 0, got {value}")
 
@@ -179,14 +180,14 @@ def _pick_batch(u: np.ndarray,
 
 
 def _emit(out: List[Request], tenants: Sequence[TenantSpec],
-          picks: np.ndarray, clocks: np.ndarray) -> None:
-    """Append one vectorized batch of requests to ``out``."""
+          picks: np.ndarray, clocks: List[float]) -> None:
+    """Append one batch of requests to ``out``: arrivals at ``clocks``,
+    tenants chosen by the uniforms ``picks`` (one per clock)."""
     names = [t.name for t in tenants]
     base = len(out)
-    out.extend(
-        Request(base + i, names[k], c)
-        for i, (k, c) in enumerate(zip(_pick_batch(picks, tenants),
-                                       clocks.tolist())))
+    out.extend(map(Request, range(base, base + len(clocks)),
+                   [names[k] for k in _pick_batch(picks, tenants)],
+                   clocks))
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +212,7 @@ def poisson_trace(tenants: Sequence[TenantSpec], rate: float,
         k = min(num_requests - len(out), _BUFFER // 2)
         e, u = stream.take(2 * k)
         clocks = np.cumsum(np.concatenate(((clock,), e[0::2] / rate)))[1:]
-        _emit(out, tenants, u[1::2], clocks)
+        _emit(out, tenants, u[1::2], clocks.tolist())
         clock = float(clocks[-1])
     return out
 
@@ -257,7 +258,7 @@ def bursty_trace(tenants: Sequence[TenantSpec], rate: float,
         cross_at = int(np.argmax(crossed)) if crossed.any() else k
         emit = min(cross_at, need)
         if emit:
-            _emit(out, tenants, u[1:2 * emit:2], clocks[:emit])
+            _emit(out, tenants, u[1:2 * emit:2], clocks[:emit].tolist())
             stream.consume(2 * emit)
             clock = float(clocks[emit - 1])
         if len(out) >= num_requests:
@@ -285,9 +286,10 @@ def diurnal_trace(tenants: Sequence[TenantSpec], rate: float,
     The thinning decision stream is data-dependent (an accepted candidate
     consumes one extra choice draw), so candidates run through a fixed
     buffer of ``_BUFFER`` positions at a time: uniforms and their
-    exponential transforms are materialized in numpy blocks and the
-    light accept/reject state machine walks each buffer as plain Python
-    floats.
+    exponential transforms are materialized in numpy blocks, and only
+    the clock walk runs as plain Python floats.  It records each
+    accepted candidate's clock and the stream position of its choice
+    draw; the buffer's tenants are then picked in one vectorized step.
     """
     _validate(tenants, rate, num_requests)
     _require_positive("period", period)
@@ -299,31 +301,25 @@ def diurnal_trace(tenants: Sequence[TenantSpec], rate: float,
     sin = math.sin
     clock = 0.0
     out: List[Request] = []
-    append = out.append
-    names = [t.name for t in tenants]
-    weights = [t.weight for t in tenants]
-    total_w = sum(weights)
-    last = len(tenants) - 1
-    while len(out) < num_requests:
+    left = num_requests
+    while left > 0:
         e_v, u_v = stream.peek(_BUFFER)
         e, u = e_v.tolist(), u_v.tolist()
-        m = len(e)
+        last = len(e) - 3        # the last position a candidate may start
+        chosen: List[int] = []
+        clocks: List[float] = []
         i = 0
-        while i + 3 <= m and len(out) < num_requests:
+        while i <= last and left > 0:
             clock += e[i] / peak
-            current = rate * (1.0 + depth * sin(two_pi * clock / period))
-            if u[i + 1] * peak <= current:
-                x = u[i + 2] * total_w
-                pick = last
-                for k, w in enumerate(weights):
-                    x -= w
-                    if x < 0:
-                        pick = k
-                        break
-                append(Request(len(out), names[pick], clock))
+            if u[i + 1] * peak <= \
+                    rate * (1.0 + depth * sin(two_pi * clock / period)):
+                chosen.append(i + 2)
+                clocks.append(clock)
+                left -= 1
                 i += 3
             else:
                 i += 2
+        _emit(out, tenants, u_v[chosen], clocks)
         stream.consume(i)
     return out
 
@@ -353,51 +349,46 @@ def diurnal_bursty_trace(tenants: Sequence[TenantSpec], rate: float,
     _require_positive("calm_factor", calm_factor)
     _require_positive("mean_dwell_requests", mean_dwell_requests)
     stream = _TwinStream(seed)
-    envelope = 1.0 + depth
+    peak = rate * (1.0 + depth)
     two_pi = 2 * math.pi
     sin = math.sin
     clock = 0.0
     bursting = False
+    cand_rate = peak * calm_factor
     mean_dwell = mean_dwell_requests / rate
     dwell_rate = 1.0 / mean_dwell
     e0, _ = stream.take(1)
     state_ends = e0[0] / dwell_rate
     out: List[Request] = []
-    append = out.append
-    names = [t.name for t in tenants]
-    weights = [t.weight for t in tenants]
-    total_w = sum(weights)
-    last = len(tenants) - 1
-    while len(out) < num_requests:
+    left = num_requests
+    while left > 0:
         e_v, u_v = stream.peek(_BUFFER)
         e, u = e_v.tolist(), u_v.tolist()
-        m = len(e)
+        last = len(e) - 4        # the last position a candidate may start
+        chosen: List[int] = []
+        clocks: List[float] = []
         i = 0
-        while i + 4 <= m and len(out) < num_requests:
-            cand_rate = rate * envelope * \
-                (burst_factor if bursting else calm_factor)
+        while i <= last and left > 0:
             gap = e[i] / cand_rate
             if clock + gap > state_ends:
                 # Dwell boundary: discard the gap, flip, draw a new dwell.
                 clock = state_ends
                 bursting = not bursting
+                cand_rate = peak * (burst_factor if bursting
+                                    else calm_factor)
                 state_ends = clock + e[i + 1] / dwell_rate
                 i += 2
                 continue
             clock += gap
-            current = rate * (1.0 + depth * sin(two_pi * clock / period))
-            if u[i + 1] * (rate * envelope) <= current:
-                x = u[i + 2] * total_w
-                pick = last
-                for k, w in enumerate(weights):
-                    x -= w
-                    if x < 0:
-                        pick = k
-                        break
-                append(Request(len(out), names[pick], clock))
+            if u[i + 1] * peak <= \
+                    rate * (1.0 + depth * sin(two_pi * clock / period)):
+                chosen.append(i + 2)
+                clocks.append(clock)
+                left -= 1
                 i += 3
             else:
                 i += 2
+        _emit(out, tenants, u_v[chosen], clocks)
         stream.consume(i)
     return out
 

@@ -322,6 +322,29 @@ class TestServe:
             "drift_interval must be finite and > 0")
         assert "\n" not in str(exc.value.code)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--autoscale", "--tick", "nan"],
+         "tick_cycles must be finite and > 0"),
+        (["--autoscale", "--tick", "inf"],
+         "tick_cycles must be finite and > 0"),
+        (["--autoscale", "--up-threshold", "nan"],
+         "up_threshold must be finite"),
+        (["--autoscale", "--up-threshold", "inf"],
+         "up_threshold must be finite"),
+        (["--autoscale", "--down-threshold", "nan"],
+         "down_threshold must be finite"),
+        (["--slo-budget", "nan"], "slo_budget must be finite and > 0"),
+        (["--slo-budget", "inf"], "slo_budget must be finite and > 0"),
+    ])
+    def test_non_finite_fleet_knob_exits_with_one_line(self, argv,
+                                                       message):
+        with pytest.raises(SystemExit) as exc:
+            main(["fleet", "--arch", "functional-testbed", "--tenants",
+                  "mlp:1,lenet:1", "--requests", "300", "--rate", "20000",
+                  "--replicas", "3", "--no-cache", *argv])
+        assert str(exc.value.code).startswith(message)
+        assert "\n" not in str(exc.value.code)
+
     def test_bad_batch_policy(self):
         with pytest.raises(SystemExit, match="bad batch policy"):
             main(self.ARGS[:-2] + ["--batch", "warp:9"])
