@@ -21,8 +21,9 @@ zero-cost mesh NoC (free like the preset's ``ideal`` one, without being
   equal;
 * each compile's segmentation, per-operator decisions and performance
   report against the same compile inside the seam (scalar kernels,
-  pre-split profiles, no process memos), which also covers the segment
-  densities whose memo hits skip the search.  Inside the seam this
+  pre-split profiles, no process memos, and the simulator's scalar
+  per-segment loop in place of its one pass per schedule), which also
+  covers the segment densities whose memo hits skip the search.  Inside the seam this
   script serves the scalar ``NocSpec.average_cost`` oracle from an
   ``lru_cache`` on ``(spec, n)``: unmemoized, its double loop over core
   pairs runs once per operator and takes minutes per model at 2048

@@ -312,10 +312,13 @@ class ResultCache:
     def put(self, key: str, summary: Dict) -> None:
         """Store ``summary`` under ``key`` (atomic, best-effort)."""
         # Write-then-rename so concurrent sweeps never read a torn file.
+        # json.dumps runs the C encoder (json.dump would run the
+        # pure-Python iterencode); its ASCII text is the file's bytes.
+        data = json.dumps(summary).encode()
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(summary, fh)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
             os.replace(tmp, self._path(key))
         except OSError:  # pragma: no cover - best-effort cache
             try:

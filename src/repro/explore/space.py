@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -91,14 +92,15 @@ def _scale_field(axis: str, value):
         return "chips", chips
     if axis == "link_bw":
         bw = float(value)
-        if bw <= 0:
-            raise ArchitectureError(f"link_bw must be positive, got {value}")
+        if not (math.isfinite(bw) and bw > 0):
+            raise ArchitectureError(
+                f"link_bw must be finite and positive, got {value}")
         return "link_bandwidth", bw
     if axis == "link_latency":
         latency = float(value)
-        if latency < 0:
+        if not (math.isfinite(latency) and latency >= 0):
             raise ArchitectureError(
-                f"link_latency must be >= 0, got {value}")
+                f"link_latency must be finite and >= 0, got {value}")
         return "link_latency", latency
     from ..arch import CHIP_TOPOLOGIES
 
@@ -179,6 +181,19 @@ def graph_signature(graph: Graph) -> str:
     return graph.signature()
 
 
+def _field_dict(value):
+    """``json.dumps`` hook of :meth:`SweepPoint.fingerprint`.
+
+    A dataclass instance encodes as its field dict — the blob
+    ``dataclasses.asdict`` gives, without deep-copying every field —
+    and anything else json cannot encode (an enum) as ``str()``.
+    """
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: getattr(value, f.name)
+                for f in dataclasses.fields(value)}
+    return str(value)
+
+
 @dataclass(frozen=True, eq=False)
 class SweepPoint:
     """One compilation: an architecture, a graph, and compiler options.
@@ -230,11 +245,10 @@ class SweepPoint:
 
         payload = {
             "repro_version": __version__,
-            "arch": dataclasses.asdict(self.arch),
+            "arch": self.arch,
             "mode": self.arch.mode.value,
             "graph": graph_signature(self.graph),
-            "options": (None if self.options is None
-                        else dataclasses.asdict(self.options)),
+            "options": self.options,
         }
         if self.chips > 1:
             payload["scale"] = {
@@ -243,7 +257,7 @@ class SweepPoint:
                 "link_latency": self.link_latency,
                 "topology": self.topology,
             }
-        blob = json.dumps(payload, sort_keys=True, default=str,
+        blob = json.dumps(payload, sort_keys=True, default=_field_dict,
                           separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 

@@ -159,27 +159,37 @@ def decision_latencies_fills(decisions: Sequence
     return lats, cols.fills(lats)
 
 
-def segment_cycles(decisions: Sequence,
-                   pipelined: bool) -> Tuple[np.ndarray, int, float]:
-    """(latencies, bottleneck index, segment cycles) in one pass.
+def reduce_segment(lats: np.ndarray, fills: np.ndarray,
+                   pipelined: bool) -> Tuple[int, float]:
+    """(bottleneck index, segment cycles) of one segment's columns.
 
-    The single body shared by
-    :func:`repro.sched.cg.pipelined_latency` /
-    :func:`~repro.sched.cg.sequential_latency` and
-    :meth:`repro.sim.performance.PerformanceSimulator.run`, so the
-    bit-identity-critical bottleneck/fill-spill formula exists exactly
-    once.  Pipelined: bottleneck latency plus the other operators'
-    fills (``np.argmax`` keeps the reference's first-wins tie-breaking,
-    :func:`seq_sum` its left-to-right fill summation).  Sequential: the
-    ordered latency sum.
+    The single body behind :func:`segment_cycles` and the schedule-wide
+    pass of :meth:`repro.sim.performance.PerformanceSimulator.run`, so
+    the bit-identity-critical bottleneck/fill-spill formula exists
+    exactly once.  Pipelined: bottleneck latency plus the other
+    operators' fills (``np.argmax`` keeps the reference's first-wins
+    tie-breaking, :func:`seq_sum` its left-to-right fill summation).
+    Sequential: the ordered latency sum.
     """
-    lats, fills = decision_latencies_fills(decisions)
     b_idx = int(lats.argmax())
     if pipelined:
         spill = seq_sum(fills) - float(fills[b_idx])
         cycles = float(lats[b_idx]) + max(0.0, spill)
     else:
         cycles = seq_sum(lats)
+    return b_idx, cycles
+
+
+def segment_cycles(decisions: Sequence,
+                   pipelined: bool) -> Tuple[np.ndarray, int, float]:
+    """(latencies, bottleneck index, segment cycles) in one pass.
+
+    The body of :func:`repro.sched.cg.pipelined_latency` /
+    :func:`~repro.sched.cg.sequential_latency`: every decision's
+    latency and fill evaluated at once, then :func:`reduce_segment`.
+    """
+    lats, fills = decision_latencies_fills(decisions)
+    b_idx, cycles = reduce_segment(lats, fills, pipelined)
     return lats, b_idx, cycles
 
 

@@ -417,7 +417,7 @@ def sequential_latency(decisions: Sequence[OpDecision]) -> float:
 
 def segment_latencies(decisions: Sequence[OpDecision], pipelined: bool
                       ) -> Tuple[List[float], int, float]:
-    """Scalar ``sim.performance._segment_latencies``: per-decision
+    """One segment of :func:`schedule_latencies`: per-decision
     latencies, the first-wins bottleneck index, and segment cycles."""
     lats = [d.latency() for d in decisions]
     cycles = (pipelined_latency(decisions) if pipelined
@@ -425,6 +425,15 @@ def segment_latencies(decisions: Sequence[OpDecision], pipelined: bool
     b_idx = max(range(len(decisions)),
                 key=lambda i: decisions[i].latency())
     return lats, b_idx, cycles
+
+
+def schedule_latencies(segments: Sequence[Sequence[OpDecision]],
+                       pipelined: bool
+                       ) -> List[Tuple[List[float], int, float]]:
+    """Scalar ``sim.performance._schedule_latencies``:
+    :func:`segment_latencies` applied to one segment at a time."""
+    return [segment_latencies(decisions, pipelined)
+            for decisions in segments]
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +775,7 @@ SWAPS = (
     (cg, "pipelined_latency", pipelined_latency),
     (cg, "sequential_latency", sequential_latency),
     (performance, "pipelined_latency", pipelined_latency),
-    (performance, "_segment_latencies", segment_latencies),
+    (performance, "_schedule_latencies", schedule_latencies),
     (placement, "_edges", edges),
     (placement, "place_greedy", place_greedy),
     (scale_partition, "_interval_matrix", interval_matrix),

@@ -431,14 +431,23 @@ def balance_for_bandwidth(graph: Graph, profiles: Dict[str, OpProfile],
     pipeline (Section 3.3.2: "update the duplication number to keep the data
     transfer amount within the NOC and buffer capability ... under the
     constraint of ALU").
+
+    Walks only the operators of ``dups`` (one segment's); each cap reads
+    the operator's own profile and its successors', never another
+    operator's trimmed count, so the visiting order does not matter.
     """
     trimmed = dict(dups)
     chip = arch.chip
-    for node in graph.topological():
-        if node.name not in trimmed:
-            continue
-        p = profiles[node.name]
-        if not p.is_cim or trimmed[node.name] <= 1:
+    # ALU limit from CIM-unsupported successors (aggregate rate: the
+    # chip ALU in CM, one ALU per core otherwise — see CostModel).
+    if arch.mode.visible_tiers == 1:
+        rate = chip.alu_ops
+    else:
+        per_core = arch.core.alu_ops or chip.alu_ops
+        rate = None if per_core is None else per_core * chip.core_number
+    for name, dup in dups.items():
+        p = profiles[name]
+        if not p.is_cim or dup <= 1:
             continue
         limits: List[float] = []
         # Buffer/NoC limit: output bits per cycle at full duplication must
@@ -448,16 +457,8 @@ def balance_for_bandwidth(graph: Graph, profiles: Dict[str, OpProfile],
             # bits produced per cycle at dup d: out_bits / (compute / d)
             max_dup_bw = chip.l0_bw_bits * compute / max(1.0, p.out_bits)
             limits.append(max_dup_bw)
-        # ALU limit from CIM-unsupported successors (aggregate rate: the
-        # chip ALU in CM, one ALU per core otherwise — see CostModel).
-        if arch.mode.visible_tiers == 1:
-            rate = chip.alu_ops
-        else:
-            per_core = arch.core.alu_ops or chip.alu_ops
-            rate = None if per_core is None else \
-                per_core * chip.core_number
         if rate is not None:
-            for succ in graph.successors(node):
+            for succ in graph.successors(graph.node(name)):
                 sp = profiles[succ.name]
                 if sp.is_cim or sp.alu_cycles <= 0:
                     continue
@@ -466,7 +467,7 @@ def balance_for_bandwidth(graph: Graph, profiles: Dict[str, OpProfile],
                 limits.append(max_dup_alu)
         if limits:
             cap = max(1, math.floor(min(limits)))
-            trimmed[node.name] = min(trimmed[node.name], cap)
+            trimmed[name] = min(dup, cap)
     return trimmed
 
 

@@ -54,7 +54,9 @@ class EventLoop:
     against the heap — exactly the order of a heap into which every
     arrival was pushed before any other event.  Arrival times must be
     finite: a NaN has no place in the sort, and an infinite arrival
-    gives an infinite horizon and NaN latencies.
+    gives an infinite horizon and NaN latencies.  They must also be
+    ``>= 0``: simulated time starts at 0, where every initially active
+    fleet replica becomes ready.
     """
 
     __slots__ = ("_heap", "_seq", "_arrivals", "_kind")
@@ -71,6 +73,11 @@ class EventLoop:
             raise ScheduleError(
                 f"trace arrival times must be finite, got {bad.arrival} "
                 f"(request {bad.index})")
+        if self._arrivals and self._arrivals[0].arrival < 0:
+            first = self._arrivals[0]
+            raise ScheduleError(
+                f"trace arrival times must be >= 0, got {first.arrival} "
+                f"(request {first.index})")
         self._kind = kind
 
     def push(self, time: float, kind: int, payload: object) -> None:

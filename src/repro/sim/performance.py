@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from ..arch import CIMArchitecture
-from ..perf.kernels import fold, segment_cycles
+from ..perf.kernels import decision_latencies_fills, fold, reduce_segment
 from ..sched.cg import pipelined_latency
 from ..sched.costs import reconfiguration_cycles
 from ..sched.schedule import OpDecision, Schedule
@@ -120,17 +120,30 @@ class PerformanceReport:
         return "\n".join(lines)
 
 
-def _segment_latencies(decisions: Sequence[OpDecision], pipelined: bool
-                       ) -> Tuple[List[float], int, float]:
-    """(per-operator latencies, bottleneck index, segment cycles).
+def _schedule_latencies(segments: Sequence[Sequence[OpDecision]],
+                        pipelined: bool
+                        ) -> List[Tuple[List[float], int, float]]:
+    """(per-operator latencies, bottleneck index, cycles) per segment.
 
-    :func:`~repro.perf.kernels.segment_cycles` evaluates the segment in
-    one vectorized pass — the same kernel behind
+    One vectorized pass evaluates every decision of the schedule, in
+    segment order, with :func:`~repro.perf.kernels.
+    decision_latencies_fills`; each segment then reduces its own slice
+    with :func:`~repro.perf.kernels.reduce_segment` — the kernel behind
     :func:`~repro.sched.cg.pipelined_latency` — keeping first-wins
     bottleneck tie-breaking and left-to-right summation.
     """
-    lats, b_idx, cycles = segment_cycles(decisions, pipelined)
-    return lats.tolist(), b_idx, cycles
+    lats, fills = decision_latencies_fills(
+        [d for decisions in segments for d in decisions])
+    values = lats.tolist()
+    out: List[Tuple[List[float], int, float]] = []
+    start = 0
+    for decisions in segments:
+        end = start + len(decisions)
+        b_idx, cycles = reduce_segment(lats[start:end], fills[start:end],
+                                       pipelined)
+        out.append((values[start:end], b_idx, cycles))
+        start = end
+    return out
 
 
 class PerformanceSimulator:
@@ -144,9 +157,9 @@ class PerformanceSimulator:
             recorder=None) -> PerformanceReport:
         """Simulate one inference under ``schedule``.
 
-        Each segment's operator latencies, bottleneck, and cycles come
-        from :func:`_segment_latencies` (one vectorized pass per
-        segment).
+        Every segment's operator latencies, bottleneck, and cycles come
+        from :func:`_schedule_latencies` (one vectorized pass per
+        schedule).
 
         ``recorder`` (a :class:`repro.trace.TraceRecorder`) optionally
         captures the run as a span timeline — per-segment
@@ -160,10 +173,11 @@ class PerformanceSimulator:
         reconf_total = 0.0
         multi_segment = len(schedule.segments) > 1
         weight_load = 0.0
-        for seg_idx in range(len(schedule.segments)):
-            decisions = schedule.segment_decisions(seg_idx)
-            lats, b_idx, cycles = _segment_latencies(decisions,
-                                                     schedule.pipelined)
+        seg_decisions = [schedule.segment_decisions(i)
+                         for i in range(len(schedule.segments))]
+        timings = _schedule_latencies(seg_decisions, schedule.pipelined)
+        for seg_idx, (decisions, (lats, b_idx, cycles)) in enumerate(
+                zip(seg_decisions, timings)):
             for d, lat in zip(decisions, lats):
                 op_latency[d.profile.name] = lat
             seg_profiles = {d.profile.name: d.profile for d in decisions}
@@ -206,8 +220,7 @@ class PerformanceSimulator:
             from ..trace.capture import emit_sim, sim_model_from_report
 
             noc = fold(d.profile.mov_cycles
-                       for i in range(len(schedule.segments))
-                       for d in schedule.segment_decisions(i))
+                       for decisions in seg_decisions for d in decisions)
             emit_sim(sim_model_from_report(report, schedule), recorder)
             recorder.configure(
                 kind="sim", pipelined=report.pipelined,

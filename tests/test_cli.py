@@ -210,6 +210,19 @@ class TestShard:
         out = capsys.readouterr().out
         assert "chips=1 CG" in out and "chips=2 CG" in out
 
+    @pytest.mark.parametrize("axis", ["link_bw", "link_latency"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_sweep_non_finite_link_axis_exits_with_one_line(
+            self, axis, value, capsys):
+        # Rejected when the grid is built, before the chips=1 points run.
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--model", "lenet", "--preset", "isaac-baseline",
+                  "--vary", "chips=1,2", "--vary", f"{axis}={value}",
+                  "--levels", "CG", "--no-cache"])
+        assert f"{axis} must be finite" in str(exc.value.code)
+        assert "\n" not in str(exc.value.code)
+        assert capsys.readouterr().out == ""
+
 
 class TestServe:
     ARGS = ["serve", "--arch", "functional-testbed",

@@ -1,10 +1,15 @@
 """Design-space exploration engine: spaces, runner, cache, Pareto."""
 
+import dataclasses
+import io
 import json
+import os
 
 import pytest
 
+import repro
 from repro.arch import functional_testbed, isaac_baseline, table2_example
+from repro.arch.noc import matrix_noc
 from repro.errors import ArchitectureError
 from repro.explore import (
     PointResult,
@@ -21,7 +26,7 @@ from repro.explore import (
     to_json,
 )
 from repro.explore import runner as runner_mod
-from repro.models import mlp, tiny_conv
+from repro.models import lenet, mlp, tiny_conv
 from repro.sched import CompilerOptions
 
 
@@ -77,6 +82,38 @@ class TestSpace:
         fingerprints = {p.fingerprint() for p in (a, c, d, e)}
         assert len(fingerprints) == 4
 
+    def test_fingerprints_are_pinned(self):
+        # Cache keys of existing result caches: the blob must not change
+        # with how it is built.  A version bump changes all four.
+        tb = functional_testbed()
+        n = tb.chip.core_number
+        matrix = dataclasses.replace(tb, chip=dataclasses.replace(
+            tb.chip, core_noc=matrix_noc(
+                [[abs(i - j) * 1.5 for j in range(n)] for i in range(n)])))
+        points = {
+            "preset": SweepPoint("p", "CG", isaac_baseline(), mlp(),
+                                 CompilerOptions(max_level="CG")),
+            "matrix_noc": SweepPoint("p", "CG+MVM", matrix, mlp(),
+                                     CompilerOptions(max_level="MVM")),
+            "baseline": SweepPoint("p", "baseline", table2_example(),
+                                   lenet(), None),
+            "link": SweepPoint("p", "CG", isaac_baseline(), lenet(),
+                               CompilerOptions(max_level="CG"), chips=2,
+                               link_bandwidth=256.0, link_latency=4.0,
+                               topology="ring"),
+        }
+        assert repro.__version__ == "1.9.0"
+        assert {k: p.fingerprint() for k, p in points.items()} == {
+            "preset": "be5edf852f1f2f466a45208242d25f05"
+                      "2999b785ea341812ba152b16e2b9de86",
+            "matrix_noc": "1503418225a4a9046edea9b4f2ccdf7e"
+                          "2e98b3b7f301d77b3df90123f0bcb0be",
+            "baseline": "365928ab23211df20dc2c0d68a12526d"
+                        "55d5299c3fe1eeb65615671e3871f5cd",
+            "link": "77dbac9dc763a9319d543a8b799f074d"
+                    "41a0de2557b00fea122e7b0b0df35a24",
+        }
+
 
 class TestRunnerCache:
     def test_cache_miss_then_hit_with_zero_compiles(self, tmp_path,
@@ -109,6 +146,18 @@ class TestRunnerCache:
         assert runner.cache is None
         result = runner.run(small_space(core_numbers=(8,)))
         assert result.cache_hits == 0 and result.cache_misses == 2
+
+    def test_put_writes_the_json_dump_bytes(self, tmp_path):
+        summary = {"total_cycles": 1.0 / 3, "peak_power": float("nan"),
+                   "segments": [{"bottleneck": "fc\u00e9", "cycles": 1e300}],
+                   "levels": ["CG", None, True], "count": 7}
+        cache = runner_mod.ResultCache(str(tmp_path))
+        cache.put("key", summary)
+        buf = io.StringIO()
+        json.dump(summary, buf)
+        with open(cache._path("key"), "rb") as fh:
+            assert fh.read() == buf.getvalue().encode()
+        assert os.listdir(cache.root) == ["key.json"]
 
     def test_corrupt_cache_entry_recomputed(self, tmp_path):
         runner = SweepRunner(cache_dir=str(tmp_path))

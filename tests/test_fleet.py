@@ -450,6 +450,24 @@ class TestFleetEngine:
         with pytest.raises(ScheduleError, match=message):
             simulate_fleet(fleet(2), trace)
 
+    @pytest.mark.parametrize("arrival", [-5.0, -1e-300])
+    def test_negative_arrival_is_a_typed_error(self, arrival):
+        # Simulated time starts at 0, where the fleet's initially active
+        # replicas become ready: both engines refuse an earlier arrival.
+        trace = requests("a", 1.0, arrival, 3.0)
+        message = (r"trace arrival times must be >= 0, got "
+                   rf"{arrival} \(request 1\)")
+        with pytest.raises(ScheduleError, match=message):
+            simulate(replica(), trace)
+        with pytest.raises(ScheduleError, match=message):
+            simulate_fleet(fleet(1), trace)
+
+    def test_arrival_at_time_zero_is_served(self):
+        trace = requests("a", 1.0, -0.0, 0.0, 3.0)
+        assert simulate(replica(), trace).completed == 4
+        report = simulate_fleet(fleet(1), trace)
+        assert report.completed == 4 and not report.rejected
+
     @pytest.mark.parametrize("factor",
                              [0.0, -1.0, float("nan"), float("inf")])
     def test_slo_factor_must_be_finite_and_positive(self, factor):

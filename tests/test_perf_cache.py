@@ -302,6 +302,46 @@ class TestReportEquality:
             assert _report_fields(a) == _report_fields(b)
 
 
+def _segment_decisions(schedule):
+    """Every segment's decisions, in segment order."""
+    return [schedule.segment_decisions(i)
+            for i in range(len(schedule.segments))]
+
+
+def _balance_whole_graph(graph, profiles, dups, arch):
+    """``cg.balance_for_bandwidth`` as a walk over the whole graph's
+    topological order, skipping operators outside ``dups``."""
+    trimmed = dict(dups)
+    chip = arch.chip
+    for node in graph.topological():
+        if node.name not in trimmed:
+            continue
+        p = profiles[node.name]
+        if not p.is_cim or trimmed[node.name] <= 1:
+            continue
+        limits = []
+        if chip.l0_bw_bits is not None and p.num_mvms > 0:
+            compute = p.num_mvms * p.mvm_cycles_base
+            limits.append(chip.l0_bw_bits * compute / max(1.0, p.out_bits))
+        if arch.mode.visible_tiers == 1:
+            rate = chip.alu_ops
+        else:
+            per_core = arch.core.alu_ops or chip.alu_ops
+            rate = None if per_core is None else \
+                per_core * chip.core_number
+        if rate is not None:
+            for succ in graph.successors(node):
+                sp = profiles[succ.name]
+                if sp.is_cim or sp.alu_cycles <= 0:
+                    continue
+                compute = p.num_mvms * p.mvm_cycles_base
+                limits.append(compute / max(1e-9, sp.alu_cycles))
+        if limits:
+            cap = max(1, math.floor(min(limits)))
+            trimmed[node.name] = min(trimmed[node.name], cap)
+    return trimmed
+
+
 def _profiles(model, arch_fn):
     arch = arch_fn()
     return list(CostModel(arch).profiles(model()).values()), \
@@ -362,11 +402,12 @@ class TestSearchKernelEquality:
     def test_segment_latencies_identical(self, model, arch_fn):
         arch = arch_fn()
         schedule = CIMMLC(arch).schedule(model())
-        for seg in range(len(schedule.segments)):
-            decisions = schedule.segment_decisions(seg)
-            for pipelined in (True, False):
-                assert reference.segment_latencies(decisions, pipelined) \
-                    == performance._segment_latencies(decisions, pipelined)
+        segments = _segment_decisions(schedule)
+        for pipelined in (True, False):
+            assert performance._schedule_latencies(segments, pipelined) \
+                == [reference.segment_latencies(decisions, pipelined)
+                    for decisions in segments]
+        for decisions in segments:
             assert reference.pipelined_latency(decisions) == \
                 cg.pipelined_latency(decisions)
             assert reference.sequential_latency(decisions) == \
@@ -374,6 +415,69 @@ class TestSearchKernelEquality:
         undup = [OpDecision(d.profile) for d in decisions]
         assert reference.pipelined_latency(undup) == \
             cg.pipelined_latency(undup)
+
+    def test_schedule_latencies_identical_on_the_zoo(self):
+        # Every zoo model on every preset, segment by segment: the one
+        # schedule-wide pass equals the scalar oracle applied to each
+        # segment alone, pipelined and sequential.
+        for preset in sorted(PRESETS):
+            arch = get_preset(preset)
+            for model in sorted(MODEL_ZOO):
+                segments = _segment_decisions(
+                    CIMMLC(arch).schedule(get_model(model)))
+                for pipelined in (True, False):
+                    fast = performance._schedule_latencies(segments,
+                                                           pipelined)
+                    assert len(fast) == len(segments)
+                    for decisions, got in zip(segments, fast):
+                        assert got == reference.segment_latencies(
+                            decisions, pipelined), (preset, model)
+
+    def test_simulator_runs_through_its_seam(self, monkeypatch):
+        # The oracle form of the schedule-wide pass applies the scalar
+        # segment_latencies to every segment; a simulator that stopped
+        # calling its SWAPS attribute would leave the spy idle.
+        seen = []
+        original = reference.segment_latencies
+
+        def spy(decisions, pipelined):
+            seen.append([d.profile.name for d in decisions])
+            return original(decisions, pipelined)
+
+        monkeypatch.setattr(reference, "segment_latencies", spy)
+        arch = isaac_baseline().with_cores(2)
+        schedule = CIMMLC(arch).schedule(lenet())
+        assert len(schedule.segments) > 1
+        with reference.installed():
+            inside = PerformanceSimulator(arch).run(schedule)
+        assert seen == [list(seg) for seg in schedule.segments]
+        assert _report_fields(inside) == \
+            _report_fields(PerformanceSimulator(arch).run(schedule))
+
+    def test_balance_is_segment_local(self, monkeypatch):
+        # Every balance call of every zoo model × preset compile equals
+        # the whole-graph walk, key order included.  The searched counts
+        # rarely exceed a cap, so each call is also checked at 1000x
+        # duplication, where most capped operators are trimmed.
+        calls = []
+        balance = cg.balance_for_bandwidth
+
+        def checked(graph, profiles, dups, arch):
+            for counts in (dups, {n: 1000 * d for n, d in dups.items()}):
+                got = balance(graph, profiles, counts, arch)
+                want = _balance_whole_graph(graph, profiles, counts, arch)
+                assert list(got.items()) == list(want.items())
+            calls.append(len(dups))
+            return balance(graph, profiles, dups, arch)
+
+        monkeypatch.setattr(cg, "balance_for_bandwidth", checked)
+        segments = 0
+        for preset in sorted(PRESETS):
+            arch = get_preset(preset)
+            for model in sorted(MODEL_ZOO):
+                schedule = CIMMLC(arch).schedule(get_model(model))
+                segments += len(schedule.segments)
+        assert len(calls) == segments
 
     def test_placement_identical(self):
         schedule = CIMMLC(isaac_baseline()).schedule(lenet())

@@ -450,6 +450,17 @@ class TestChipSweep:
             SweepSpace.grid(chip, graph,
                             {"chips": [2], "topology": ["torus"]})
 
+    @pytest.mark.parametrize("axis", ["link_bw", "link_latency"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "nan",
+                                       "-inf"])
+    def test_non_finite_link_axis_rejected_eagerly(self, axis, value):
+        """A NaN or infinite link axis fails at grid construction, not
+        in ``SweepPoint.system()`` once the earlier points have run."""
+        with pytest.raises(ArchitectureError,
+                           match=f"{axis} must be finite"):
+            SweepSpace.grid(functional_testbed(), get_model("mlp"),
+                            {"chips": [1, 2], axis: [8, value]})
+
     def test_link_bw_axis(self):
         space = SweepSpace.grid(
             functional_testbed(), get_model("mlp"),
