@@ -42,6 +42,7 @@ import sys
 from typing import Callable, Dict, List, Optional
 
 from .arch import PRESETS, get_preset
+from .errors import CIMError
 from .models import MODEL_ZOO, get_model
 from .sched import CIMMLC, CompilerOptions, no_optimization
 
@@ -58,7 +59,7 @@ def _model(name: str):
 
 def _preset(name: str):
     """Resolve a preset name: exact, underscore-normalized, or unique
-    prefix (``isaac`` -> ``isaac-baseline``)."""
+    prefix (``functional`` -> ``functional-testbed``)."""
     normalized = name.replace("_", "-")
     if normalized in PRESETS:
         return PRESETS[normalized]()
@@ -68,6 +69,40 @@ def _preset(name: str):
     hint = f"ambiguous ({matches})" if matches else "no match"
     raise SystemExit(f"unknown preset {name!r}: {hint}; "
                      f"choose one of {sorted(PRESETS)}")
+
+
+def _ints(text: str, flag: str) -> List[int]:
+    try:
+        return [int(c) for c in text.split(",")]
+    except ValueError:
+        raise SystemExit(
+            f"{flag} expects comma-separated integers, got {text!r}")
+
+
+def _runner(args):
+    """The :class:`~repro.explore.SweepRunner` of the runner flags."""
+    from .explore import SweepRunner, default_cache_dir
+
+    if args.workers < 1:
+        raise SystemExit(f"--workers must be >= 1, got {args.workers}")
+    cache_dir = None if args.no_cache else \
+        (args.cache_dir or default_cache_dir())
+    return SweepRunner(workers=args.workers, cache_dir=cache_dir)
+
+
+def _link(args):
+    from .arch import ChipLink
+
+    return ChipLink(bandwidth_bits=args.link_bw,
+                    latency_cycles=args.link_latency)
+
+
+def _trace(args, specs):
+    """``--rate`` is per mega-cycle; the generators take per-cycle rates."""
+    from .serve import make_trace
+
+    return make_trace(args.trace, specs, args.rate * 1e-6, args.requests,
+                      seed=args.seed)
 
 
 def cmd_presets(args) -> None:
@@ -163,8 +198,6 @@ def cmd_reproduce(args) -> None:
 
 
 def cmd_power(args) -> None:
-    from .errors import CIMError
-
     arch = _preset(args.arch)
     rows = []
     for name in args.models.split(","):
@@ -172,10 +205,7 @@ def cmd_power(args) -> None:
         if not name:
             continue
         graph = _model(name)
-        try:
-            report = CIMMLC(arch).compile(graph).report
-        except CIMError as exc:
-            raise SystemExit(str(exc))
+        report = CIMMLC(arch).compile(graph).report
         p = report.power
         rows.append({
             "model": graph.name,
@@ -226,9 +256,7 @@ def cmd_codegen(args) -> None:
 
 def cmd_sweep(args) -> None:
     from .explore import (
-        SweepRunner,
         SweepSpace,
-        default_cache_dir,
         level_series,
         metric_result,
         pareto_frontier,
@@ -238,7 +266,7 @@ def cmd_sweep(args) -> None:
         to_json,
     )
 
-    base = _preset(args.preset)
+    base = _preset(args.arch)
     graph = _model(args.model)
     vary: Dict[str, List[str]] = {}
     for spec in args.vary or []:
@@ -259,11 +287,7 @@ def cmd_sweep(args) -> None:
     except Exception as exc:
         raise SystemExit(str(exc))
 
-    if args.workers < 1:
-        raise SystemExit(f"--workers must be >= 1, got {args.workers}")
-    cache_dir = None if args.no_cache else \
-        (args.cache_dir or default_cache_dir())
-    runner = SweepRunner(workers=args.workers, cache_dir=cache_dir)
+    runner = _runner(args)
 
     if args.prefilter == "replay":
         from dataclasses import asdict
@@ -297,7 +321,7 @@ def cmd_sweep(args) -> None:
     sweep = runner.run(space)
     print(f"sweep: {len(sweep)} points "
           f"({sweep.cache_hits} cache hits, {sweep.cache_misses} misses"
-          f"{'' if cache_dir else ', cache disabled'})", file=sys.stderr)
+          f"{'' if runner.cache else ', cache disabled'})", file=sys.stderr)
 
     if args.format == "json":
         print(to_json(sweep, pareto=args.pareto, objectives=objectives,
@@ -331,47 +355,19 @@ def cmd_sweep(args) -> None:
 
 def _system(args):
     """Build a :class:`~repro.arch.MultiChipSystem` from CLI link flags."""
-    from .arch import ChipLink, MultiChipSystem
-    from .errors import CIMError
+    from .arch import MultiChipSystem
 
     arch = _preset(args.arch)
-    try:
-        link = ChipLink(bandwidth_bits=args.link_bw,
-                        latency_cycles=args.link_latency)
-        return MultiChipSystem(arch, args.chips, link=link,
-                               topology=args.topology)
-    except CIMError as exc:
-        raise SystemExit(str(exc))
-
-
-def _add_system_args(parser, default_chips: int) -> None:
-    """Attach the shared multi-chip flags (shard + serve --mode sharded)."""
-    from .arch import CHIP_TOPOLOGIES, ChipLink
-
-    default_link = ChipLink()
-    parser.add_argument("--chips", type=int, default=default_chips,
-                        help="number of chips in the system")
-    parser.add_argument("--topology", choices=CHIP_TOPOLOGIES,
-                        default="ring", help="inter-chip wiring")
-    parser.add_argument("--link-bw", type=float,
-                        default=default_link.bandwidth_bits,
-                        help="inter-chip link bandwidth (bits/cycle)")
-    parser.add_argument("--link-latency", type=float,
-                        default=default_link.latency_cycles,
-                        help="per-hop link latency (cycles)")
+    return MultiChipSystem(arch, args.chips, link=_link(args),
+                           topology=args.topology)
 
 
 def cmd_shard(args) -> None:
-    from .errors import CIMError
-    from .sched import CIMMLC
     from .scale import link_table, pipeline_summary, placement_table, shard
 
     system = _system(args)
     graph = _model(args.model)
-    try:
-        plan = shard(graph, system)
-    except CIMError as exc:
-        raise SystemExit(str(exc))
+    plan = shard(graph, system)
     single = None
     if args.baseline:
         try:
@@ -424,75 +420,63 @@ def _tenant_specs(text: str):
 
 
 def cmd_serve(args) -> None:
-    from .errors import CIMError
     from .serve import (
         MODES,
         capacity_table,
         make_plan,
-        make_trace,
         parse_policy,
         serve_sweep,
         simulate,
     )
 
     arch = _preset(args.arch)
-    try:
-        specs = _tenant_specs(args.tenants)
-        policy = parse_policy(args.batch)
-        modes = list(MODES) if args.mode == "both" else [args.mode]
+    specs = _tenant_specs(args.tenants)
+    policy = parse_policy(args.batch)
+    modes = list(MODES) if args.mode == "both" else [args.mode]
 
-        if args.mode == "sharded" and args.rates:
+    if args.mode == "sharded" and args.rates:
+        raise SystemExit(
+            "--rates capacity sweeps support spatial/temporal modes; "
+            "run sharded mode with a single --rate")
+    if args.mode == "sharded" and args.power_budget is not None:
+        raise SystemExit(
+            "--power-budget applies to spatial/temporal modes; the "
+            "sharded planner has no per-chip down-duplication yet")
+
+    if args.rates:
+        try:
+            rates = [float(r) * 1e-6 for r in args.rates.split(",")]
+        except ValueError:
             raise SystemExit(
-                "--rates capacity sweeps support spatial/temporal modes; "
-                "run sharded mode with a single --rate")
-        if args.mode == "sharded" and args.power_budget is not None:
-            raise SystemExit(
-                "--power-budget applies to spatial/temporal modes; the "
-                "sharded planner has no per-chip down-duplication yet")
+                f"--rates expects comma-separated numbers, got "
+                f"{args.rates!r}")
+        points = serve_sweep(
+            arch, specs, rates, modes=modes, policies=[policy],
+            trace_kind=args.trace, num_requests=args.requests,
+            seed=args.seed, slo_factor=args.slo_factor,
+            max_queue=args.max_queue, runner=_runner(args),
+            power_budget=args.power_budget)
+        if args.format == "json":
+            print(json.dumps([
+                {"rate_per_mcycle": p.rate_per_mcycle, "mode": p.mode,
+                 "policy": p.policy, **p.report.to_dict()}
+                for p in points
+            ], indent=1))
+        else:
+            print(capacity_table(points))
+        return
 
-        if args.rates:
-            from .explore import SweepRunner, default_cache_dir
-
-            cache_dir = None if args.no_cache else \
-                (args.cache_dir or default_cache_dir())
-            try:
-                rates = [float(r) * 1e-6 for r in args.rates.split(",")]
-            except ValueError:
-                raise SystemExit(
-                    f"--rates expects comma-separated numbers, got "
-                    f"{args.rates!r}")
-            points = serve_sweep(
-                arch, specs, rates, modes=modes, policies=[policy],
-                trace_kind=args.trace, num_requests=args.requests,
-                seed=args.seed, slo_factor=args.slo_factor,
-                max_queue=args.max_queue,
-                runner=SweepRunner(workers=args.workers,
-                                   cache_dir=cache_dir),
-                power_budget=args.power_budget)
-            if args.format == "json":
-                print(json.dumps([
-                    {"rate_per_mcycle": p.rate_per_mcycle, "mode": p.mode,
-                     "policy": p.policy, **p.report.to_dict()}
-                    for p in points
-                ], indent=1))
-            else:
-                print(capacity_table(points))
-            return
-
-        trace = make_trace(args.trace, specs, args.rate * 1e-6,
-                           args.requests, seed=args.seed)
-        reports = {}
-        for mode in modes:
-            if mode == "sharded":
-                plan = make_plan(mode, arch, specs, system=_system(args))
-            else:
-                plan = make_plan(mode, arch, specs,
-                                 power_budget=args.power_budget)
-            reports[mode] = simulate(plan, trace, policy=policy,
-                                     max_queue=args.max_queue,
-                                     slo_factor=args.slo_factor)
-    except CIMError as exc:
-        raise SystemExit(str(exc))
+    trace = _trace(args, specs)
+    reports = {}
+    for mode in modes:
+        if mode == "sharded":
+            plan = make_plan(mode, arch, specs, system=_system(args))
+        else:
+            plan = make_plan(mode, arch, specs,
+                             power_budget=args.power_budget)
+        reports[mode] = simulate(plan, trace, policy=policy,
+                                 max_queue=args.max_queue,
+                                 slo_factor=args.slo_factor)
     if args.format == "json":
         print(json.dumps({m: r.to_dict() for m, r in reports.items()},
                          indent=1))
@@ -507,9 +491,6 @@ def cmd_serve(args) -> None:
 
 
 def cmd_fleet(args) -> None:
-    from .arch import ChipLink
-    from .errors import CIMError
-    from .explore import SweepRunner, default_cache_dir
     from .fleet import (
         AdmissionControl,
         Autoscaler,
@@ -519,62 +500,49 @@ def cmd_fleet(args) -> None:
         parse_router,
         simulate_fleet,
     )
-    from .serve import make_trace, parse_policy, trace_digest
+    from .serve import parse_policy, trace_digest
 
     arch = _preset(args.arch)
-    try:
-        specs = _tenant_specs(args.tenants)
-        policy = parse_policy(args.batch)
-        link = ChipLink(bandwidth_bits=args.link_bw,
-                        latency_cycles=args.link_latency)
-        cache_dir = None if args.no_cache else \
-            (args.cache_dir or default_cache_dir())
-        runner = SweepRunner(workers=args.workers, cache_dir=cache_dir)
-        plan = build_fleet_cached(
-            arch, specs, replicas=args.replicas, mode=args.mode,
-            runner=runner, power_budget=args.power_budget, link=link)
-        admission = AdmissionControl(max_outstanding=args.admit_max,
-                                     slo_budget=args.slo_budget,
-                                     fairness=args.fair)
-        autoscaler = None
-        if args.autoscale:
-            autoscaler = Autoscaler(tick_cycles=args.tick,
-                                    min_replicas=args.min_replicas,
-                                    up_threshold=args.up_threshold,
-                                    down_threshold=args.down_threshold,
-                                    hold_ticks=args.hold_ticks)
-        trace = make_trace(args.trace, specs, args.rate * 1e-6,
-                           args.requests, seed=args.seed)
+    specs = _tenant_specs(args.tenants)
+    policy = parse_policy(args.batch)
+    link = _link(args)
+    plan = build_fleet_cached(
+        arch, specs, replicas=args.replicas, mode=args.mode,
+        runner=_runner(args), power_budget=args.power_budget, link=link)
+    admission = AdmissionControl(max_outstanding=args.admit_max,
+                                 slo_budget=args.slo_budget,
+                                 fairness=args.fair)
+    autoscaler = None
+    if args.autoscale:
+        autoscaler = Autoscaler(tick_cycles=args.tick,
+                                min_replicas=args.min_replicas,
+                                up_threshold=args.up_threshold,
+                                down_threshold=args.down_threshold,
+                                hold_ticks=args.hold_ticks)
+    trace = _trace(args, specs)
 
-        if args.counts:
-            try:
-                counts = [int(c) for c in args.counts.split(",")]
-            except ValueError:
-                raise SystemExit(
-                    f"--counts expects comma-separated integers, got "
-                    f"{args.counts!r}")
-            points = fleet_sweep(
-                plan, trace, counts, routers=args.routers.split(","),
-                policy=policy, admission=admission, autoscaler=autoscaler,
-                max_queue=args.max_queue, slo_factor=args.slo_factor)
-            if args.format == "json":
-                print(json.dumps([
-                    {"replicas": p.replicas, "router": p.router,
-                     **p.report.to_dict()} for p in points
-                ], indent=1))
-            else:
-                print(f"fleet sweep: {len(trace)} requests "
-                      f"({args.trace}, seed {args.seed}), trace digest "
-                      f"{trace_digest(trace)[:16]}")
-                print(fleet_table(points))
-            return
-
-        report = simulate_fleet(
-            plan, trace, policy=policy, router=parse_router(args.router),
+    if args.counts:
+        points = fleet_sweep(
+            plan, trace, _ints(args.counts, "--counts"),
+            routers=args.routers.split(","), policy=policy,
             admission=admission, autoscaler=autoscaler,
             max_queue=args.max_queue, slo_factor=args.slo_factor)
-    except CIMError as exc:
-        raise SystemExit(str(exc))
+        if args.format == "json":
+            print(json.dumps([
+                {"replicas": p.replicas, "router": p.router,
+                 **p.report.to_dict()} for p in points
+            ], indent=1))
+        else:
+            print(f"fleet sweep: {len(trace)} requests "
+                  f"({args.trace}, seed {args.seed}), trace digest "
+                  f"{trace_digest(trace)[:16]}")
+            print(fleet_table(points))
+        return
+
+    report = simulate_fleet(
+        plan, trace, policy=policy, router=parse_router(args.router),
+        admission=admission, autoscaler=autoscaler,
+        max_queue=args.max_queue, slo_factor=args.slo_factor)
     if args.format == "json":
         print(report.to_json())
         return
@@ -591,11 +559,7 @@ def _parse_fault(args, die: int):
     if args.kill:
         dead.extend(spread_mask(die, args.kill))
     if args.dead_cores:
-        try:
-            dead.extend(int(c) for c in args.dead_cores.split(","))
-        except ValueError:
-            raise SystemExit(f"--dead-cores expects comma-separated core "
-                             f"ids, got {args.dead_cores!r}")
+        dead.extend(_ints(args.dead_cores, "--dead-cores"))
     xbs = []
     if args.dead_xbs:
         try:
@@ -614,67 +578,50 @@ def _parse_fault(args, die: int):
 
 
 def cmd_faults(args) -> None:
-    from .arch import ChipLink
-    from .errors import CIMError
-    from .explore import SweepRunner, default_cache_dir
     from .faults import degradation_sweep, sweep_digest, sweep_rows, \
         sweep_table
     from .fleet import build_fleet, parse_router, simulate_fleet
-    from .serve import make_trace, parse_policy
+    from .serve import parse_policy
 
     arch = _preset(args.arch)
-    try:
-        specs = _tenant_specs(args.tenants)
-        policy = parse_policy(args.batch)
-        fault = _parse_fault(args, arch.chip.core_number)
+    specs = _tenant_specs(args.tenants)
+    policy = parse_policy(args.batch)
+    fault = _parse_fault(args, arch.chip.core_number)
 
-        if args.sweep_dead:
-            try:
-                counts = [int(c) for c in args.sweep_dead.split(",")]
-            except ValueError:
-                raise SystemExit(
-                    f"--sweep-dead expects comma-separated dead-core "
-                    f"counts, got {args.sweep_dead!r}")
-            cache_dir = None if args.no_cache else \
-                (args.cache_dir or default_cache_dir())
-            runner = SweepRunner(workers=args.workers,
-                                 cache_dir=cache_dir)
-            points = degradation_sweep(
-                arch, specs, counts, args.rate * 1e-6, mode=args.mode,
-                num_requests=args.requests, seed=args.seed,
-                trace_kind=args.trace, policy=policy,
-                slo_factor=args.slo_factor, max_queue=args.max_queue,
-                runner=runner)
-            if args.format == "json":
-                print(json.dumps(sweep_rows(points), indent=1))
-            else:
-                print(f"degradation sweep on {arch.name} "
-                      f"({arch.chip.core_number} cores, {args.trace} "
-                      f"trace, seed {args.seed}):")
-                print(sweep_table(points))
-                print(f"sweep digest: {sweep_digest(points)[:16]} "
-                      f"(same seed => same digest)")
-            return
-
-        link = ChipLink(bandwidth_bits=args.link_bw,
-                        latency_cycles=args.link_latency)
-        if fault.masks_cores():
-            plan = build_fleet(
-                fault.degrade_arch(arch), specs, replicas=args.replicas,
-                mode=args.mode, link=link,
-                core_pool=fault.surviving_cores(arch),
-                die_cores=arch.chip.core_number)
+    if args.sweep_dead:
+        counts = _ints(args.sweep_dead, "--sweep-dead")
+        points = degradation_sweep(
+            arch, specs, counts, args.rate * 1e-6, mode=args.mode,
+            num_requests=args.requests, seed=args.seed,
+            trace_kind=args.trace, policy=policy,
+            slo_factor=args.slo_factor, max_queue=args.max_queue,
+            runner=_runner(args))
+        if args.format == "json":
+            print(json.dumps(sweep_rows(points), indent=1))
         else:
-            plan = build_fleet(arch, specs, replicas=args.replicas,
-                               mode=args.mode, link=link)
-        trace = make_trace(args.trace, specs, args.rate * 1e-6,
-                           args.requests, seed=args.seed)
-        report = simulate_fleet(
-            plan, trace, policy=policy, router=parse_router(args.router),
-            max_queue=args.max_queue, slo_factor=args.slo_factor,
-            fault=fault)
-    except CIMError as exc:
-        raise SystemExit(str(exc))
+            print(f"degradation sweep on {arch.name} "
+                  f"({arch.chip.core_number} cores, {args.trace} "
+                  f"trace, seed {args.seed}):")
+            print(sweep_table(points))
+            print(f"sweep digest: {sweep_digest(points)[:16]} "
+                  f"(same seed => same digest)")
+        return
+
+    link = _link(args)
+    if fault.masks_cores():
+        plan = build_fleet(
+            fault.degrade_arch(arch), specs, replicas=args.replicas,
+            mode=args.mode, link=link,
+            core_pool=fault.surviving_cores(arch),
+            die_cores=arch.chip.core_number)
+    else:
+        plan = build_fleet(arch, specs, replicas=args.replicas,
+                           mode=args.mode, link=link)
+    trace = _trace(args, specs)
+    report = simulate_fleet(
+        plan, trace, policy=policy, router=parse_router(args.router),
+        max_queue=args.max_queue, slo_factor=args.slo_factor,
+        fault=fault)
     if args.format == "json":
         print(report.to_json())
         return
@@ -707,24 +654,20 @@ def _record_scenario(args):
 
         plan = shard(_model(args.model), _system(args))
         return plan.report, record_shard(plan)
-    from .serve import make_plan, make_trace, parse_policy
+    from .serve import make_plan, parse_policy
 
     specs = _tenant_specs(args.tenants)
     policy = parse_policy(args.batch)
-    requests = make_trace(args.arrivals, specs, args.rate * 1e-6,
-                          args.requests, seed=args.seed)
+    requests = _trace(args, specs)
     if args.kind == "serve":
         plan = make_plan(args.mode, arch, specs)
         return record_serve(plan, requests, policy=policy,
                             max_queue=args.max_queue,
                             slo_factor=args.slo_factor)
-    from .arch import ChipLink
     from .fleet import build_fleet, parse_router
 
-    link = ChipLink(bandwidth_bits=args.link_bw,
-                    latency_cycles=args.link_latency)
     plan = build_fleet(arch, specs, replicas=args.replicas,
-                       mode=args.mode, link=link)
+                       mode=args.mode, link=_link(args))
     return record_fleet(plan, requests, policy=policy,
                         router=parse_router(args.router),
                         max_queue=args.max_queue,
@@ -732,12 +675,7 @@ def _record_scenario(args):
 
 
 def cmd_trace_record(args) -> None:
-    from .errors import CIMError
-
-    try:
-        report, trace = _record_scenario(args)
-    except CIMError as exc:
-        raise SystemExit(str(exc))
+    report, trace = _record_scenario(args)
     if args.out:
         trace.save(args.out)
         print(f"wrote {args.out}", file=sys.stderr)
@@ -822,16 +760,12 @@ def cmd_trace_analyze(args) -> None:
 
 
 def cmd_trace_whatif(args) -> None:
-    from .errors import CIMError
     from .trace import parse_mutation, replay
 
     trace = _load_trace(args.trace)
-    try:
-        mutation = parse_mutation(args.mutate or "")
-        result = replay(trace, mutation)
-        baseline = replay(trace).metrics
-    except CIMError as exc:
-        raise SystemExit(str(exc))
+    mutation = parse_mutation(args.mutate or "")
+    result = replay(trace, mutation)
+    baseline = replay(trace).metrics
     if args.out:
         result.trace.save(args.out)
         print(f"wrote {args.out}", file=sys.stderr)
@@ -855,6 +789,92 @@ def cmd_trace_whatif(args) -> None:
     if mutation.is_identity():
         same = result.trace.digest() == trace.digest()
         print(f"identity replay digest match: {same}")
+
+
+def _add_arch_arg(parser, default: str,
+                  flags=("--arch", "--preset")) -> None:
+    """Attach the preset flag; :func:`_preset` resolves its value."""
+    parser.add_argument(*flags, dest="arch", default=default,
+                        help="architecture preset (unique prefixes "
+                             "accepted, e.g. 'functional')")
+
+
+def _add_format_arg(parser, choices=("table", "json")) -> None:
+    parser.add_argument("--format", choices=choices, default="table")
+
+
+def _add_workload_args(parser, rate: float, requests: int, arrivals: str,
+                       modes=("spatial", "temporal"), mode="spatial",
+                       flag="--trace") -> None:
+    """Attach the request-workload flags; the arrival-process ``flag``
+    lands in ``args.trace`` for :func:`_trace`."""
+    from .serve.workload import TRACES
+
+    parser.add_argument("--tenants", default="resnet18:4,mobilenet:1",
+                        metavar="MODEL[:WEIGHT],...",
+                        help="co-resident models with traffic weights")
+    parser.add_argument("--mode", choices=modes, default=mode,
+                        help="hardware sharing plan")
+    parser.add_argument(flag, dest="trace", choices=tuple(TRACES),
+                        default=arrivals, help="arrival process")
+    parser.add_argument("--rate", type=float, default=rate,
+                        help="arrival rate in requests per mega-cycle")
+    parser.add_argument("--requests", type=int, default=requests,
+                        help="trace length in requests")
+    parser.add_argument("--seed", type=int, default=0, help="trace seed")
+    parser.add_argument("--batch", default="timeout:8:50000",
+                        help="batching policy: fixed:N or "
+                             "timeout:N:CYCLES")
+    parser.add_argument("--slo-factor", type=float, default=10.0,
+                        help="per-tenant SLO = factor x isolated latency")
+    parser.add_argument("--max-queue", type=int, default=None,
+                        help="per-tenant queue bound (arrivals beyond it "
+                             "are rejected)")
+
+
+def _add_fleet_args(parser, replicas: int) -> None:
+    """Attach the fleet-shape flags (fleet, faults, trace record)."""
+    parser.add_argument("--replicas", type=int, default=replicas,
+                        help="fleet size (the autoscaler's ceiling)")
+    parser.add_argument("--router", default="least-loaded",
+                        help="routing policy: rr, least-loaded, "
+                             "affinity[:SESSIONS], power[:HEADROOM]")
+
+
+def _add_link_args(parser) -> None:
+    """Attach the inter-chip link flags :func:`_link` reads, defaulting
+    to :class:`~repro.arch.ChipLink`'s own."""
+    from .arch import ChipLink
+
+    default_link = ChipLink()
+    parser.add_argument("--link-bw", type=float,
+                        default=default_link.bandwidth_bits,
+                        help="inter-chip link bandwidth (bits/cycle)")
+    parser.add_argument("--link-latency", type=float,
+                        default=default_link.latency_cycles,
+                        help="per-hop link latency (cycles)")
+
+
+def _add_system_args(parser) -> None:
+    """Attach the multi-chip flags :func:`_system` reads."""
+    from .arch import CHIP_TOPOLOGIES
+
+    parser.add_argument("--chips", type=int, default=2,
+                        help="number of chips in the system")
+    parser.add_argument("--topology", choices=CHIP_TOPOLOGIES,
+                        default="ring", help="inter-chip wiring")
+    _add_link_args(parser)
+
+
+def _add_runner_args(parser) -> None:
+    """Attach the explore-runner flags :func:`_runner` reads."""
+    parser.add_argument("--workers", type=int, default=1,
+                        help="compile worker processes (1 = serial)")
+    parser.add_argument("--cache-dir", default=None,
+                        help="explore result-cache root (default: "
+                             "$REPRO_CACHE_DIR or ~/.cache/repro-explore)")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="disable the explore result cache")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -897,10 +917,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "near-free.")
     p.add_argument("--model", default="vit-tiny",
                    help="model-zoo entry (underscores accepted)")
-    p.add_argument("--preset", "--arch", dest="preset",
-                   default="isaac-baseline",
-                   help="architecture preset (unique prefixes accepted, "
-                        "e.g. 'isaac')")
+    _add_arch_arg(p, "isaac-baseline", flags=("--preset", "--arch"))
     p.add_argument("--vary", action="append", metavar="PARAM=V1,V2,...",
                    help="sweep axis, e.g. cores=256,512,1024, "
                         "xb_size=64x512,128x256, chips=1,2,4, or "
@@ -908,15 +925,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", default="baseline,CG,MVM,VVM",
                    help="comma list of series to run per point "
                         "(baseline,CG,MVM,VVM)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes (1 = serial)")
-    p.add_argument("--cache-dir", default=None,
-                   help="result-cache root (default: $REPRO_CACHE_DIR or "
-                        "~/.cache/repro-explore)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the result cache")
-    p.add_argument("--format", choices=("table", "csv", "json"),
-                   default="table")
+    _add_runner_args(p)
+    _add_format_arg(p, choices=("table", "csv", "json"))
     p.add_argument("--pareto", action="store_true",
                    help="report the Pareto frontier under --objectives")
     p.add_argument("--objectives", default="total_cycles,peak_power",
@@ -947,17 +957,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "report the per-chip placement, the inter-chip link "
                     "schedule, and the pipelined latency/throughput "
                     "estimate.")
-    p.add_argument("--arch", "--preset", dest="arch",
-                   default="isaac-baseline",
-                   help="architecture preset for every chip (unique "
-                        "prefixes accepted)")
+    _add_arch_arg(p, "isaac-baseline")
     p.add_argument("--model", default="resnet18",
                    help="model-zoo entry (underscores accepted)")
-    _add_system_args(p, default_chips=2)
+    _add_system_args(p)
     p.add_argument("--baseline", action="store_true",
                    help="also compile on one chip and report the "
                         "throughput/latency ratio")
-    p.add_argument("--format", choices=("table", "json"), default="table")
+    _add_format_arg(p)
     p.set_defaults(fn=cmd_shard)
 
     p = sub.add_parser(
@@ -969,53 +976,27 @@ def build_parser() -> argparse.ArgumentParser:
                     "time-multiplexed (full chip per tenant, crossbars "
                     "reprogrammed on every tenant switch), and report "
                     "p50/p95/p99 latency, throughput, utilization, and SLO "
-                    "attainment.  With --rates, run a capacity sweep whose "
-                    "compilations ride the explore result cache.")
-    p.add_argument("--arch", "--preset", dest="arch", default="isaac-flash",
-                   help="architecture preset (unique prefixes accepted)")
-    p.add_argument("--tenants", default="resnet18:4,mobilenet:1",
-                   metavar="MODEL[:WEIGHT],...",
-                   help="co-resident models with traffic weights")
-    p.add_argument("--mode",
-                   choices=("spatial", "temporal", "both", "sharded"),
-                   default="both",
-                   help="hardware sharing plan; 'sharded' spans each "
-                        "tenant across chips of a multi-chip system "
-                        "(see --chips/--topology/--link-bw)")
-    _add_system_args(p, default_chips=2)
-    p.add_argument("--trace",
-                   choices=("poisson", "bursty", "diurnal",
-                            "diurnal-bursty"),
-                   default="poisson", help="arrival process")
-    p.add_argument("--rate", type=float, default=22.0,
-                   help="arrival rate in requests per mega-cycle")
+                    "attainment.  --mode sharded instead spans each tenant "
+                    "across chips of a multi-chip system (see --chips/"
+                    "--topology/--link-bw).  With --rates, run a capacity "
+                    "sweep whose compilations ride the explore result "
+                    "cache.")
+    _add_arch_arg(p, "isaac-flash")
+    _add_workload_args(p, rate=22.0, requests=400, arrivals="poisson",
+                       modes=("spatial", "temporal", "both", "sharded"),
+                       mode="both")
+    _add_system_args(p)
     p.add_argument("--rates", default=None, metavar="R1,R2,...",
                    help="capacity sweep over these rates (req/Mcycle) "
                         "instead of a single --rate run")
-    p.add_argument("--requests", type=int, default=400,
-                   help="trace length in requests")
-    p.add_argument("--seed", type=int, default=0, help="trace seed")
-    p.add_argument("--batch", default="timeout:8:50000",
-                   help="dynamic batching policy: fixed:N or "
-                        "timeout:N:CYCLES")
-    p.add_argument("--slo-factor", type=float, default=10.0,
-                   help="per-tenant SLO = factor x isolated latency")
-    p.add_argument("--max-queue", type=int, default=None,
-                   help="per-tenant queue bound (arrivals beyond it are "
-                        "rejected)")
     p.add_argument("--power-budget", type=float, default=None,
                    metavar="POWER",
                    help="chip-level peak-power budget: the spatial "
                         "planner down-duplicates tenants to fit it, the "
                         "temporal planner rejects over-budget tenants "
                         "(spatial/temporal modes only)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="compile workers for --rates sweeps")
-    p.add_argument("--cache-dir", default=None,
-                   help="explore result-cache root for --rates sweeps")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the result cache for --rates sweeps")
-    p.add_argument("--format", choices=("table", "json"), default="table")
+    _add_runner_args(p)
+    _add_format_arg(p)
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser(
@@ -1033,44 +1014,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "result cache; the whole simulation is "
                     "deterministic (same seed ⇒ bit-identical report).  "
                     "With --counts, sweep replica count × router.")
-    p.add_argument("--arch", "--preset", dest="arch", default="isaac-flash",
-                   help="architecture preset for every replica (unique "
-                        "prefixes accepted)")
-    p.add_argument("--tenants", default="resnet18:4,mobilenet:1",
-                   metavar="MODEL[:WEIGHT],...",
-                   help="co-resident models with traffic weights")
-    p.add_argument("--mode", choices=("spatial", "temporal"),
-                   default="spatial",
-                   help="hardware sharing plan inside each replica")
-    p.add_argument("--replicas", type=int, default=8,
-                   help="maximum fleet size")
+    _add_arch_arg(p, "isaac-flash")
+    _add_workload_args(p, rate=120.0, requests=100_000,
+                       arrivals="diurnal-bursty")
+    _add_fleet_args(p, replicas=8)
     p.add_argument("--counts", default=None, metavar="N1,N2,...",
                    help="sweep these replica counts x --routers instead "
                         "of a single run")
-    p.add_argument("--router", default="least-loaded",
-                   help="routing policy: rr, least-loaded, "
-                        "affinity[:SESSIONS], power[:HEADROOM]")
     p.add_argument("--routers", default="rr,least-loaded",
                    metavar="R1,R2,...",
                    help="router specs for --counts sweeps")
-    p.add_argument("--trace",
-                   choices=("poisson", "bursty", "diurnal",
-                            "diurnal-bursty"),
-                   default="diurnal-bursty", help="arrival process")
-    p.add_argument("--rate", type=float, default=120.0,
-                   help="fleet-wide arrival rate in requests per "
-                        "mega-cycle")
-    p.add_argument("--requests", type=int, default=100_000,
-                   help="trace length in requests (1e6+ is fine: "
-                        "generation is vectorized)")
-    p.add_argument("--seed", type=int, default=0, help="trace seed")
-    p.add_argument("--batch", default="timeout:8:50000",
-                   help="per-replica batching policy: fixed:N or "
-                        "timeout:N:CYCLES")
-    p.add_argument("--slo-factor", type=float, default=10.0,
-                   help="per-tenant SLO = factor x isolated latency")
-    p.add_argument("--max-queue", type=int, default=None,
-                   help="replica-local per-tenant queue bound")
     p.add_argument("--admit-max", type=int, default=None,
                    metavar="N",
                    help="admission: max outstanding requests per replica")
@@ -1099,17 +1052,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--power-budget", type=float, default=None,
                    metavar="POWER",
                    help="per-replica chip-level peak-power budget")
-    p.add_argument("--link-bw", type=float, default=512.0,
-                   help="front-end link bandwidth (bits/cycle)")
-    p.add_argument("--link-latency", type=float, default=100.0,
-                   help="front-end link per-hop latency (cycles)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="compile workers for plan building")
-    p.add_argument("--cache-dir", default=None,
-                   help="explore result-cache root")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the result cache")
-    p.add_argument("--format", choices=("table", "json"), default="table")
+    _add_link_args(p)
+    _add_runner_args(p)
+    _add_format_arg(p)
     p.set_defaults(fn=cmd_fleet)
 
     p = sub.add_parser(
@@ -1129,19 +1074,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "(compiles ride the explore cache) instead.  Zero "
                     "injected faults reproduce the fault-free run bit "
                     "for bit.")
-    p.add_argument("--arch", "--preset", dest="arch", default="isaac-flash",
-                   help="architecture preset (unique prefixes accepted)")
-    p.add_argument("--tenants", default="resnet18:4,mobilenet:1",
-                   metavar="MODEL[:WEIGHT],...",
-                   help="co-resident models with traffic weights")
-    p.add_argument("--mode", choices=("spatial", "temporal"),
-                   default="spatial",
-                   help="hardware sharing plan inside each replica")
-    p.add_argument("--replicas", type=int, default=4,
-                   help="fleet size for the injection run")
-    p.add_argument("--router", default="least-loaded",
-                   help="routing policy: rr, least-loaded, "
-                        "affinity[:SESSIONS], power[:HEADROOM]")
+    _add_arch_arg(p, "isaac-flash")
+    _add_workload_args(p, rate=80.0, requests=20_000,
+                       arrivals="diurnal-bursty")
+    _add_fleet_args(p, replicas=4)
     p.add_argument("--kill", type=int, default=0, metavar="N",
                    help="kill N cores, spread evenly across the die")
     p.add_argument("--dead-cores", default=None, metavar="ID,ID,...",
@@ -1163,32 +1099,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep-dead", default=None, metavar="N1,N2,...",
                    help="degradation sweep over these dead-core counts "
                         "(single-chip serve, not the fleet)")
-    p.add_argument("--trace",
-                   choices=("poisson", "bursty", "diurnal",
-                            "diurnal-bursty"),
-                   default="diurnal-bursty", help="arrival process")
-    p.add_argument("--rate", type=float, default=80.0,
-                   help="arrival rate in requests per mega-cycle")
-    p.add_argument("--requests", type=int, default=20_000,
-                   help="trace length in requests")
-    p.add_argument("--seed", type=int, default=0, help="trace seed")
-    p.add_argument("--batch", default="timeout:8:50000",
-                   help="batching policy: fixed:N or timeout:N:CYCLES")
-    p.add_argument("--slo-factor", type=float, default=10.0,
-                   help="per-tenant SLO = factor x isolated latency")
-    p.add_argument("--max-queue", type=int, default=None,
-                   help="replica-local per-tenant queue bound")
-    p.add_argument("--link-bw", type=float, default=512.0,
-                   help="front-end link bandwidth (bits/cycle)")
-    p.add_argument("--link-latency", type=float, default=100.0,
-                   help="front-end link per-hop latency (cycles)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="compile workers for --sweep-dead")
-    p.add_argument("--cache-dir", default=None,
-                   help="explore result-cache root (--sweep-dead)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the result cache (--sweep-dead)")
-    p.add_argument("--format", choices=("table", "json"), default="table")
+    _add_link_args(p)
+    _add_runner_args(p)
+    _add_format_arg(p)
     p.set_defaults(fn=cmd_faults)
 
     p = sub.add_parser(
@@ -1210,47 +1123,20 @@ def build_parser() -> argparse.ArgumentParser:
         "record", help="run a scenario with trace capture on")
     r.add_argument("--kind", choices=("sim", "shard", "serve", "fleet"),
                    default="sim", help="which engine to record")
-    r.add_argument("--arch", "--preset", dest="arch",
-                   default="isaac-baseline",
-                   help="architecture preset (unique prefixes accepted)")
+    _add_arch_arg(r, "isaac-baseline")
     r.add_argument("--model", default="lenet",
                    help="model-zoo entry (sim/shard kinds)")
-    _add_system_args(r, default_chips=2)
-    r.add_argument("--tenants", default="resnet18:4,mobilenet:1",
-                   metavar="MODEL[:WEIGHT],...",
-                   help="co-resident models (serve/fleet kinds)")
-    r.add_argument("--mode", choices=("spatial", "temporal"),
-                   default="spatial",
-                   help="hardware sharing plan (serve/fleet kinds)")
-    r.add_argument("--arrivals",
-                   choices=("poisson", "bursty", "diurnal",
-                            "diurnal-bursty"),
-                   default="poisson",
-                   help="arrival process (serve/fleet kinds)")
-    r.add_argument("--rate", type=float, default=22.0,
-                   help="arrival rate in requests per mega-cycle")
-    r.add_argument("--requests", type=int, default=400,
-                   help="request-stream length")
-    r.add_argument("--seed", type=int, default=0,
-                   help="request-stream seed")
-    r.add_argument("--batch", default="timeout:8:50000",
-                   help="batching policy: fixed:N or timeout:N:CYCLES")
-    r.add_argument("--slo-factor", type=float, default=10.0,
-                   help="per-tenant SLO = factor x isolated latency")
-    r.add_argument("--max-queue", type=int, default=None,
-                   help="per-tenant queue bound")
-    r.add_argument("--replicas", type=int, default=4,
-                   help="fleet size (fleet kind)")
-    r.add_argument("--router", default="least-loaded",
-                   help="fleet routing policy")
+    _add_system_args(r)
+    _add_workload_args(r, rate=22.0, requests=400, arrivals="poisson",
+                       flag="--arrivals")
+    _add_fleet_args(r, replicas=4)
     r.add_argument("--out", default=None, metavar="PATH",
                    help="write the compact trace JSON "
                         "(repro.trace.Trace.load-able)")
     r.add_argument("--chrome", default=None, metavar="PATH",
                    help="write Chrome-trace JSON (chrome://tracing / "
                         "Perfetto)")
-    r.add_argument("--format", choices=("table", "json"),
-                   default="table")
+    _add_format_arg(r)
     r.set_defaults(fn=cmd_trace_record)
 
     a = tsub.add_parser(
@@ -1261,8 +1147,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--request", type=int, default=None,
                    help="request index to path-analyze (serving traces; "
                         "default: the slowest request)")
-    a.add_argument("--format", choices=("table", "json"),
-                   default="table")
+    _add_format_arg(a)
     a.set_defaults(fn=cmd_trace_analyze)
 
     w = tsub.add_parser(
@@ -1276,8 +1161,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "chips=±N (empty: identity replay)")
     w.add_argument("--out", default=None, metavar="PATH",
                    help="write the replayed trace JSON")
-    w.add_argument("--format", choices=("table", "json"),
-                   default="table")
+    _add_format_arg(w)
     w.set_defaults(fn=cmd_trace_whatif)
 
     p = sub.add_parser(
@@ -1319,7 +1203,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="committed goldens directory")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="also write reproduce_report.json to PATH")
-    p.add_argument("--format", choices=("table", "json"), default="table")
+    _add_format_arg(p)
     p.set_defaults(fn=cmd_reproduce)
 
     p = sub.add_parser(
@@ -1339,7 +1223,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run a subset of benchmarks")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="also write the JSON to PATH (e.g. BENCH_PR4.json)")
-    p.add_argument("--format", choices=("table", "json"), default="table")
+    _add_format_arg(p)
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser(
@@ -1353,13 +1237,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "full weight-write energy a serving system pays to "
                     "(re)deploy the model.  See docs/ENERGY.md for the "
                     "model behind the numbers.")
-    p.add_argument("--arch", "--preset", dest="arch",
-                   default="isaac-baseline",
-                   help="architecture preset (unique prefixes accepted)")
+    _add_arch_arg(p, "isaac-baseline")
     p.add_argument("--models", "--model", dest="models",
                    default="resnet18", metavar="MODEL,...",
                    help="comma list of model-zoo entries")
-    p.add_argument("--format", choices=("table", "json"), default="table")
+    _add_format_arg(p)
     p.set_defaults(fn=cmd_power)
 
     p = sub.add_parser("codegen",
@@ -1373,8 +1255,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> None:
+    """Run one command; a library error (:class:`~repro.errors.CIMError`)
+    exits with its one-line message instead of a traceback."""
     args = build_parser().parse_args(argv)
-    args.fn(args)
+    try:
+        args.fn(args)
+    except CIMError as exc:
+        raise SystemExit(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -56,7 +56,16 @@ def resolve_objectives(objectives: Sequence[str]) -> Tuple[str, ...]:
 
 def _objective_vector(result: PointResult,
                       objectives: Sequence[str]) -> Tuple[float, ...]:
-    return tuple(float(result.summary[obj]) for obj in objectives)
+    try:
+        return tuple(float(result.summary[obj]) for obj in objectives)
+    except (KeyError, TypeError):
+        scalars = sorted(key for key, value in result.summary.items()
+                         if isinstance(value, (int, float)))
+        bad = next(obj for obj in objectives if obj not in scalars)
+        raise ArchitectureError(
+            f"unknown Pareto objective {bad!r}; choose a scalar summary "
+            f"key {scalars} or an alias {sorted(OBJECTIVE_ALIASES)}"
+        ) from None
 
 
 def dominates(a: Sequence[float], b: Sequence[float]) -> bool:

@@ -469,7 +469,7 @@ class SweepRunner:
         except Exception:
             pass
 
-    def _pooled_summaries(self, todo: List[SweepPoint]) -> List[Dict]:
+    def _pooled_summaries(self, todo: List[SweepPoint]) -> Iterator[Dict]:
         """Fan ``todo`` out over the (persistent) worker pool."""
         needed = {}
         for p in todo:
@@ -488,7 +488,7 @@ class SweepRunner:
                 initializer=_worker_init,
                 initargs=(pickle.dumps(self._pool_graphs),))
         tasks = [_PointTask.from_point(p) for p in todo]
-        return list(self._pool.map(_evaluate_task, tasks))
+        return self._pool.map(_evaluate_task, tasks)
 
     # -- evaluation ----------------------------------------------------
 
@@ -522,7 +522,9 @@ class SweepRunner:
             if self.workers > 1 and len(todo) > 1:
                 summaries = self._pooled_summaries(todo)
             else:
-                summaries = [evaluate_point(p) for p in todo]
+                summaries = map(evaluate_point, todo)
+            # Each summary is cached as it arrives, so a point that
+            # raises keeps every point finished before it.
             for i, summary in zip(pending, summaries):
                 slots[i] = PointResult(points[i], summary, cached=False)
                 if self.cache is not None:

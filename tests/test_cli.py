@@ -1,5 +1,6 @@
 """CLI: every subcommand runs and prints sensible output."""
 
+import argparse
 import json
 import os
 import re
@@ -9,8 +10,60 @@ import pytest
 import repro
 from repro.cli import MODELS, build_parser, main
 
+#: Every parser's arguments as the CLI shipped them (see
+#: :func:`parser_contract`); a deliberate option change updates it.
+CONTRACT = os.path.join(os.path.dirname(__file__), "data",
+                        "cli_parser_contract.json")
+
+
+def parser_contract(parser, prog="repro"):
+    """``{command path: {option strings: facts}}`` for ``parser`` and
+    every subparser below it.
+
+    Facts are the default, type, choices, action class and ``required``
+    flag; a positional is keyed by its dest.  Dest and help text are
+    left out, so help may be reworded and a dest only the CLI reads may
+    be renamed.
+    """
+    contract = {prog: {}}
+    for action in parser._actions:
+        choices = action.choices
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                contract.update(parser_contract(sub, f"{prog} {name}"))
+            choices = sorted(choices)
+        key = " ".join(action.option_strings) or action.dest
+        contract[prog][key] = {
+            "default": action.default,
+            "type": getattr(action.type, "__name__", action.type),
+            "choices": None if choices is None else list(choices),
+            "action": type(action).__name__,
+            "required": action.required,
+        }
+    return contract
+
+
+def load_contract():
+    with open(CONTRACT) as fh:
+        return json.load(fh)
+
 
 class TestParser:
+    def test_parser_contract(self):
+        """Every option keeps its strings, default, type, choices,
+        action and ``required`` flag."""
+        live = json.loads(json.dumps(parser_contract(build_parser())))
+        assert live == load_contract()
+
+    @pytest.mark.parametrize("argv", [command.split()[1:]
+                                      for command in load_contract()
+                                      if command != "repro"])
+    def test_every_command_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: repro")
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
@@ -88,6 +141,14 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "more lines" in out
 
+    def test_codegen_multi_segment_exits_with_one_line(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["codegen", "--arch", "functional-testbed",
+                  "--model", "vgg7"])
+        assert str(exc.value.code).startswith(
+            "lowering supports single-segment schedules")
+        assert "\n" not in str(exc.value.code)
+
     def test_schedule_flag(self, capsys):
         main(["compile", "--arch", "functional-testbed",
               "--model", "mlp", "--schedule"])
@@ -141,6 +202,23 @@ class TestSweep:
     def test_workers_zero_rejected(self):
         with pytest.raises(SystemExit, match="--workers must be"):
             main(self.ARGS + ["--workers", "0", "--no-cache"])
+
+    def test_infeasible_point_exits_with_one_line(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--model", "resnet18", "--preset",
+                  "isaac-baseline", "--vary", "cores=64", "--vary",
+                  "chips=2", "--levels", "CG", "--no-cache"])
+        assert "needs at least 4 isaac-baseline chips" in \
+            str(exc.value.code)
+        assert "\n" not in str(exc.value.code)
+
+    def test_unknown_pareto_objective_exits_with_one_line(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--model", "lenet", "--levels", "CG",
+                  "--no-cache", "--pareto", "--objectives", "bogus"])
+        assert str(exc.value.code).startswith(
+            "unknown Pareto objective 'bogus'")
+        assert "\n" not in str(exc.value.code)
 
     def test_bad_vary_spec(self):
         with pytest.raises(SystemExit, match="--vary expects"):
@@ -357,6 +435,17 @@ class TestServe:
                   "--replicas", "3", "--no-cache", *argv])
         assert str(exc.value.code).startswith(message)
         assert "\n" not in str(exc.value.code)
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--rates", "200"],
+        ["fleet"],
+        ["faults", "--sweep-dead", "0,1"],
+    ])
+    def test_workers_zero_exits_with_one_line(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--arch", "functional-testbed", "--tenants", "mlp",
+                  "--requests", "10", "--workers", "0"])
+        assert exc.value.code == "--workers must be >= 1, got 0"
 
     def test_bad_batch_policy(self):
         with pytest.raises(SystemExit, match="bad batch policy"):

@@ -10,7 +10,7 @@ import pytest
 import repro
 from repro.arch import functional_testbed, isaac_baseline, table2_example
 from repro.arch.noc import matrix_noc
-from repro.errors import ArchitectureError
+from repro.errors import ArchitectureError, CapacityError
 from repro.explore import (
     PointResult,
     SweepPoint,
@@ -26,7 +26,7 @@ from repro.explore import (
     to_json,
 )
 from repro.explore import runner as runner_mod
-from repro.models import lenet, mlp, tiny_conv
+from repro.models import lenet, mlp, resnet18, tiny_conv
 from repro.sched import CompilerOptions
 
 
@@ -179,6 +179,23 @@ class TestRunnerCache:
         assert [r.summary for r in serial] == [r.summary for r in parallel]
         assert serial.speedups() == parallel.speedups()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_points_finished_before_a_failure_stay_cached(self, tmp_path,
+                                                          workers):
+        def space(chips):
+            return SweepSpace.grid(isaac_baseline(), resnet18(),
+                                   {"cores": ["64"], "chips": chips},
+                                   series=level_series(["CG"]))
+
+        # resnet18 fits one 64-core chip but needs 4 to shard, so the
+        # chips=2 point fails after the chips=1 point has finished.
+        with SweepRunner(workers=workers,
+                         cache_dir=str(tmp_path)) as runner:
+            with pytest.raises(CapacityError, match="needs at least 4"):
+                runner.run(space(["1", "2"]))
+        rerun = SweepRunner(cache_dir=str(tmp_path)).run(space(["1"]))
+        assert (rerun.cache_hits, rerun.cache_misses) == (1, 0)
+
     def test_workers_validation(self):
         with pytest.raises(ValueError):
             SweepRunner(workers=0)
@@ -235,6 +252,14 @@ class TestPareto:
         b = _fake_result("b", 20.0, 1.0)
         frontier = pareto_frontier([a, b], objectives=("total_cycles",))
         assert [r.label for r in frontier] == ["a"]
+
+    @pytest.mark.parametrize("objective", ["bogus", "segments"])
+    def test_unknown_or_non_scalar_objective_rejected(self, objective):
+        a = _fake_result("a", 10.0, 1.0)
+        with pytest.raises(ArchitectureError,
+                           match=f"unknown Pareto objective '{objective}'"
+                                 r".*'total_cycles'.*'latency'"):
+            pareto_frontier([a], objectives=("total_cycles", objective))
 
     def test_attribution_shares_and_dominant(self):
         summary = {
